@@ -491,34 +491,41 @@ void Server::ProtocolErrorClose(const ConnPtr& c, const Status& error) {
   if (flush_pending) FlushWrites(c);
 }
 
-void Server::FlushWrites(const ConnPtr& c) {
-  std::unique_lock<std::mutex> cl(c->mu);
-  if (c->closed) return;
-  while (!c->out.empty()) {
-    const std::string& front = c->out.front();
+Server::WriteOutcome Server::WriteQueuedLocked(Conn& c) {
+  WriteOutcome outcome = WriteOutcome::kDrained;
+  while (!c.out.empty()) {
+    const std::string& front = c.out.front();
     // Non-blocking (accepted with SOCK_NONBLOCK): a full socket buffer
     // surfaces as EAGAIN and POLLOUT finishes the job next round.
     int err = 0;
-    ssize_t n = c->sock->Write(front.data() + c->out_offset,
-                               front.size() - c->out_offset, &err);
+    ssize_t n = c.sock->Write(front.data() + c.out_offset,
+                              front.size() - c.out_offset, &err);
     if (n < 0) {
-      if (err == EAGAIN || err == EWOULDBLOCK || err == EINTR) break;
-      cl.unlock();
-      CloseConn(c);
-      return;
+      outcome = (err == EAGAIN || err == EWOULDBLOCK || err == EINTR)
+                    ? WriteOutcome::kBlocked
+                    : WriteOutcome::kFailed;
+      break;
     }
     metrics_->bytes_written->Add(static_cast<uint64_t>(n));
-    c->out_offset += static_cast<size_t>(n);
-    c->out_bytes -= static_cast<size_t>(n);
-    if (c->out_offset == front.size()) {
-      c->out.pop_front();
-      c->out_offset = 0;
+    c.out_offset += static_cast<size_t>(n);
+    c.out_bytes -= static_cast<size_t>(n);
+    if (c.out_offset == front.size()) {
+      c.out.pop_front();
+      c.out_offset = 0;
     }
   }
-  if (c->out_bytes < options_.write_buffer_soft_cap) {
-    c->write_cv.notify_all();
+  if (c.out_bytes < options_.write_buffer_soft_cap) {
+    c.write_cv.notify_all();
   }
-  bool close_now = c->out.empty() && c->close_after_flush;
+  return outcome;
+}
+
+void Server::FlushWrites(const ConnPtr& c) {
+  std::unique_lock<std::mutex> cl(c->mu);
+  if (c->closed) return;
+  WriteOutcome w = WriteQueuedLocked(*c);
+  bool close_now = w == WriteOutcome::kFailed ||
+                   (w == WriteOutcome::kDrained && c->close_after_flush);
   cl.unlock();
   if (close_now) CloseConn(c);
 }
@@ -684,15 +691,13 @@ void Server::ProcessOne(const ConnPtr& c) {
     case MessageType::kClose: {
       std::string frame;
       AppendFrame(&frame, MessageType::kGoodbye, "");
-      {
-        std::lock_guard<std::mutex> cl(c->mu);
-        if (!c->closed) {
-          c->out_bytes += frame.size();
-          c->out.push_back(std::move(frame));
-          c->close_after_flush = true;
-        }
+      std::unique_lock<std::mutex> cl(c->mu);
+      if (!c->closed) {
+        c->out_bytes += frame.size();
+        c->out.push_back(std::move(frame));
+        c->close_after_flush = true;
+        SendFromWorker(c, std::move(cl));
       }
-      WakeLoop();
       break;
     }
     default:
@@ -724,7 +729,7 @@ void Server::ProcessOne(const ConnPtr& c) {
   }
 }
 
-Status Server::BlockingEnqueue(const ConnPtr& c, std::string frame) {
+Status Server::BlockingEnqueue(const ConnPtr& c, std::string frames) {
   const auto stall_deadline =
       std::chrono::steady_clock::now() + options_.write_stall_timeout;
   std::unique_lock<std::mutex> cl(c->mu);
@@ -743,13 +748,7 @@ Status Server::BlockingEnqueue(const ConnPtr& c, std::string frame) {
     }
     if (std::chrono::steady_clock::now() >= stall_deadline) {
       // The client stopped reading; free the worker and drop the client.
-      c->doomed = true;
-      cl.unlock();
-      {
-        std::lock_guard<std::mutex> lock(doomed_mu_);
-        doomed_.push_back(c);
-      }
-      WakeLoop();
+      DoomLocked(c, std::move(cl));
       return Status::Unavailable("client stalled (write buffer full for " +
                                  std::to_string(
                                      options_.write_stall_timeout.count()) +
@@ -757,11 +756,35 @@ Status Server::BlockingEnqueue(const ConnPtr& c, std::string frame) {
     }
     c->write_cv.wait_for(cl, kGovernedSlice);
   }
-  c->out_bytes += frame.size();
-  c->out.push_back(std::move(frame));
-  cl.unlock();
-  WakeLoop();
+  c->out_bytes += frames.size();
+  c->out.push_back(std::move(frames));
+  SendFromWorker(c, std::move(cl));
   return Status::OK();
+}
+
+void Server::SendFromWorker(const ConnPtr& c,
+                            std::unique_lock<std::mutex> cl) {
+  WriteOutcome w = WriteQueuedLocked(*c);
+  if (w == WriteOutcome::kFailed ||
+      (w == WriteOutcome::kDrained && c->close_after_flush)) {
+    // Socket errors and closes belong to the loop.
+    DoomLocked(c, std::move(cl));
+    return;
+  }
+  cl.unlock();
+  // Leftover bytes wait for POLLOUT, which the loop's poll set only asks
+  // for once it is rebuilt.
+  if (w == WriteOutcome::kBlocked) WakeLoop();
+}
+
+void Server::DoomLocked(const ConnPtr& c, std::unique_lock<std::mutex> cl) {
+  c->doomed = true;
+  cl.unlock();
+  {
+    std::lock_guard<std::mutex> lock(doomed_mu_);
+    doomed_.push_back(c);
+  }
+  WakeLoop();
 }
 
 void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
@@ -814,32 +837,31 @@ void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
   Session* session = c->session.get();
 
   // Streaming result sink: serialized bytes are sliced into ResultChunk
-  // frames of result_chunk_bytes and flow-controlled through the event
-  // loop, so the result never materializes server-side.
+  // frames of result_chunk_bytes and flow-controlled per connection, so
+  // the result never materializes server-side.
   std::string chunk_buf;
   Status sink_status;  // first enqueue failure, kept for classification
-  auto flush_chunks = [&](bool final_flush) -> Status {
+  auto flush_chunks = [&]() -> Status {
     size_t chunk = options_.result_chunk_bytes == 0
                        ? 32 * 1024
                        : options_.result_chunk_bytes;
-    while (chunk_buf.size() >= chunk || (final_flush && !chunk_buf.empty())) {
-      size_t take = std::min(chunk_buf.size(), chunk);
+    while (chunk_buf.size() >= chunk) {
       std::string frame;
       AppendFrame(&frame, MessageType::kResultChunk,
-                  std::string_view(chunk_buf.data(), take));
+                  std::string_view(chunk_buf.data(), chunk));
       Status st = BlockingEnqueue(c, std::move(frame));
       if (!st.ok()) {
         if (sink_status.ok()) sink_status = st;
         return st;
       }
       metrics_->result_chunks->Add();
-      chunk_buf.erase(0, take);
+      chunk_buf.erase(0, chunk);
     }
     return Status::OK();
   };
   session->set_result_sink([&](std::string_view piece) -> Status {
     chunk_buf.append(piece.data(), piece.size());
-    return flush_chunks(/*final_flush=*/false);
+    return flush_chunks();
   });
 
   std::string text = item.type == MessageType::kExplain
@@ -851,14 +873,16 @@ void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
   metrics_->active_statements->Add(-1);
 
   if (result.ok()) {
-    Status st = flush_chunks(/*final_flush=*/true);
-    if (st.ok()) {
-      std::string frame;
-      AppendFrame(&frame, MessageType::kResultDone,
-                  EncodeResultDone(result->kind, result->affected,
-                                   result->peak_memory_bytes));
-      st = BlockingEnqueue(c, std::move(frame));
-    }
+    // The sink left less than one chunk behind: send it and ResultDone in
+    // one enqueue, so a short result costs one write.
+    const bool last_chunk = !chunk_buf.empty();
+    std::string frames;
+    if (last_chunk) AppendFrame(&frames, MessageType::kResultChunk, chunk_buf);
+    AppendFrame(&frames, MessageType::kResultDone,
+                EncodeResultDone(result->kind, result->affected,
+                                 result->peak_memory_bytes));
+    Status st = BlockingEnqueue(c, std::move(frames));
+    if (st.ok() && last_chunk) metrics_->result_chunks->Add();
     finish(/*error=*/!st.ok());
     return;
   }

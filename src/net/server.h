@@ -16,10 +16,17 @@
 //     statement is admitted through the process-wide Governor, so the
 //     server inherits admission control (reject or bounded-FIFO queue).
 //   * results STREAM: the session's result sink slices the serialized
-//     result into ResultChunk frames and hands them to the event loop,
+//     result into ResultChunk frames and queues them on the connection,
 //     blocking (governed) when the connection's write buffer is full —
 //     a large result never materializes server-side and a stalled client
 //     throttles only its own statement.
+//   * the worker that produced a reply SENDS it: after queueing, it
+//     writes the queued bytes itself (under the connection mutex, as the
+//     loop does), and the last chunk travels with ResultDone in one
+//     write. It wakes the event loop only when bytes remain (EAGAIN; the
+//     loop finishes on POLLOUT), when a write fails, or when the
+//     connection must close after the flush — socket errors and closes
+//     stay with the loop.
 //   * Cancel frames are handled out of band by the event loop: they trip
 //     the CancellationToken of the statement the connection is executing.
 //   * explicit transactions: Begin/CommitTxn/AbortTxn frames ride the same
@@ -40,11 +47,14 @@
 //     tests inject a FaultInjectingTransport to drive short reads/writes,
 //     delays and mid-frame resets through every path above.
 //
-// Thread-safety map: socket fds and read buffers are touched only by the
-// event loop; per-connection queues (pending work, outbound frames) are
-// mutex-guarded; Session objects execute at most one item at a time
-// (enforced by the `running` flag) with only the thread-safe Cancel()
-// called concurrently.
+// Thread-safety map: sockets are read, polled and closed only by the
+// event loop, and written by the loop or by a worker, always under the
+// connection's mutex (which also guards the outbound queue and its
+// partial-write offset) — so writes never interleave, and a write never
+// follows the close, which sets `closed` under that mutex first. Read
+// buffers are loop-only; per-connection pending work is mutex-guarded;
+// Session objects execute at most one item at a time (enforced by the
+// `running` flag) with only the thread-safe Cancel() called concurrently.
 
 #ifndef SEDNA_NET_SERVER_H_
 #define SEDNA_NET_SERVER_H_
@@ -170,12 +180,12 @@ class Server {
     bool hello_done = false;
     bool reading_disabled = false;  // after a protocol error
     std::string inbuf;
-    size_t out_offset = 0;  // partial-write offset into out.front()
 
     // Shared state (guarded by mu).
     std::mutex mu;
     std::condition_variable write_cv;
     std::deque<std::string> out;  // encoded frames awaiting the socket
+    size_t out_offset = 0;  // partial-write offset into out.front()
     size_t out_bytes = 0;
     bool close_after_flush = false;
     bool closed = false;  // logically dead; loop reaps it
@@ -202,6 +212,8 @@ class Server {
   void AcceptNew();
   void HandleReadable(const ConnPtr& c);
   void HandleFrame(const ConnPtr& c, Frame frame);
+  /// Writes queued bytes; closes the connection on a write error or once
+  /// a close_after_flush queue drains.
   void FlushWrites(const ConnPtr& c);
   void CloseConn(const ConnPtr& c);
   void ReapDoomed();
@@ -225,10 +237,27 @@ class Server {
   /// drained (counted under the matching metric). Caller must hold the
   /// running/closed handoff: the session must be quiescent.
   void AbortAbandonedTxn(const ConnPtr& c);
-  /// Flow-controlled enqueue from a worker; aborts when the connection
-  /// dies, the statement is cancelled, the drain goes hard, or the client
-  /// stalls past write_stall_timeout.
-  Status BlockingEnqueue(const ConnPtr& c, std::string frame);
+  /// Flow-controlled enqueue from a worker, which then sends the queued
+  /// bytes itself (SendFromWorker); aborts when the connection dies, the
+  /// statement is cancelled, the drain goes hard, or the client stalls
+  /// past write_stall_timeout.
+  Status BlockingEnqueue(const ConnPtr& c, std::string frames);
+  /// Worker side of a send: writes what the socket takes now and hands
+  /// the rest (leftover bytes, a failed write, a pending close) to the
+  /// loop. Takes `c->mu` held and releases it.
+  void SendFromWorker(const ConnPtr& c, std::unique_lock<std::mutex> cl);
+  /// Asks the loop to close the connection. Takes `c->mu` held and
+  /// releases it.
+  void DoomLocked(const ConnPtr& c, std::unique_lock<std::mutex> cl);
+
+  enum class WriteOutcome {
+    kDrained,  // the outbound queue is empty
+    kBlocked,  // the socket would block; bytes remain
+    kFailed,   // a write failed; the connection is dead
+  };
+  /// Writes queued bytes until the queue drains, the socket would block or
+  /// a write fails, and wakes flow-controlled producers. `c.mu` held.
+  WriteOutcome WriteQueuedLocked(Conn& c);
 
   void WakeLoop();
 

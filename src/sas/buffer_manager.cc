@@ -38,7 +38,10 @@ BufferManager::BufferManager(FileManager* file, PageResolver* resolver,
                              size_t frame_count, BufferPoolOptions pool_options)
     : file_(file), resolver_(resolver), frame_count_(frame_count) {
   SEDNA_CHECK(frame_count >= 4) << "buffer pool too small";
-  pool_ = std::make_unique<uint8_t[]>(frame_count * kPageSize);
+  // Not zero-filled: every frame is filled from disk or from its
+  // copy-on-write source before anything reads it, so the pool only
+  // becomes resident as pages are faulted in.
+  pool_ = std::make_unique_for_overwrite<uint8_t[]>(frame_count * kPageSize);
   frames_ = std::make_unique<Frame[]>(frame_count);
 
   if (pool_options.shard_count != 0) {
@@ -85,12 +88,6 @@ BufferManager::BufferManager(FileManager* file, PageResolver* resolver,
     sh.metrics.coalesced_fills = reg.counter(prefix + "coalesced_fills");
     sh.metrics.evictions = reg.counter(prefix + "evictions");
     sh.metrics.writebacks = reg.counter(prefix + "writebacks");
-  }
-
-  layer_tables_ =
-      std::make_unique<std::atomic<LayerTable*>[]>(kMaxLayers);
-  for (uint32_t i = 0; i < kMaxLayers; ++i) {
-    layer_tables_[i].store(nullptr, std::memory_order_relaxed);
   }
 }
 
@@ -326,55 +323,20 @@ Status BufferManager::WriteBackLocked(Shard& sh, Frame* f) {
 }
 
 void BufferManager::InstallShared(Frame* f) {
-  Xptr base(f->lpid);
-  uint32_t layer = base.layer();
-  if (layer >= kMaxLayers) return;  // beyond fast-map coverage; Deref works
-  uint32_t idx = base.PageIndex();
   std::lock_guard<std::mutex> lk(table_mu_);
-  LayerTable* t = layer_tables_[layer].load(std::memory_order_relaxed);
-  if (t == nullptr || idx >= t->slots) {
-    // Grow (or create) the per-layer table. The old table stays allocated
-    // until shutdown so lock-free readers never chase freed memory.
-    uint32_t slots = t != nullptr ? t->slots : kInitialLayerSlots;
-    while (slots <= idx) slots *= 2;
-    auto bigger = std::make_unique<LayerTable>(slots);
-    if (t != nullptr) {
-      for (uint32_t i = 0; i < t->slots; ++i) {
-        bigger->entries[i].store(t->entries[i].load(std::memory_order_relaxed),
-                                 std::memory_order_relaxed);
-      }
-    }
-    layer_tables_[layer].store(bigger.get(), std::memory_order_release);
-    t = bigger.get();
-    owned_tables_.push_back(std::move(bigger));
-  }
-  t->entries[idx].store(f, std::memory_order_release);
+  fast_map_.Store(Xptr(f->lpid), f);
 }
 
 void BufferManager::RemoveShared(Frame* f) {
   if (f->lpid == 0) return;
   Xptr base(f->lpid);
-  uint32_t layer = base.layer();
-  if (layer >= kMaxLayers) return;
-  uint32_t idx = base.PageIndex();
   std::lock_guard<std::mutex> lk(table_mu_);
-  LayerTable* t = layer_tables_[layer].load(std::memory_order_relaxed);
-  if (t != nullptr && idx < t->slots &&
-      t->entries[idx].load(std::memory_order_relaxed) == f) {
-    t->entries[idx].store(nullptr, std::memory_order_release);
-  }
+  if (fast_map_.Load(base) == f) fast_map_.Store(base, nullptr);
 }
 
 void BufferManager::InvalidateShared(LogicalPageId lpid) {
-  Xptr base(lpid);
-  uint32_t layer = base.layer();
-  if (layer >= kMaxLayers) return;
-  uint32_t idx = base.PageIndex();
   std::lock_guard<std::mutex> lk(table_mu_);
-  LayerTable* t = layer_tables_[layer].load(std::memory_order_relaxed);
-  if (t != nullptr && idx < t->slots) {
-    t->entries[idx].store(nullptr, std::memory_order_release);
-  }
+  fast_map_.Store(Xptr(lpid), nullptr);
 }
 
 void BufferManager::RecordTxnFrame(uint64_t txn_id, Frame* f) {

@@ -5,7 +5,7 @@
 // substitutes a *software-checked* mapping (see DESIGN.md §2): every layer
 // has a frame table indexed by page-index; dereferencing an Xptr is
 //
-//     frame = layer_table[layer][offset >> kPageSizeBits]   (two loads)
+//     frame = layer_table[layer][offset >> kPageSizeBits]   (three loads)
 //     return frame->data + (offset & kPageOffsetMask)       (mask + add)
 //
 // with a miss ("software page fault") invoking the fault handler that reads
@@ -40,14 +40,12 @@
 //     the release-decrement in Unpin paired with the acquire-load in the
 //     clock sweep makes the unpinning thread's page writes visible to the
 //     evicting thread.
-//   * The shared-view fast map (`DerefFast`) is an array of per-layer
-//     tables of atomic Frame*; lookups are entirely lock-free (two atomic
-//     loads + mask + add). Tables grow dynamically — any page index is
-//     covered, not just the first 4096 — by publishing a larger copy;
-//     superseded tables are retired until shutdown so readers never touch
-//     freed memory. All table *writes* (install / remove / invalidate /
-//     growth) serialize on one small mutex; they only happen on fault,
-//     eviction and commit paths.
+//   * The shared-view fast map (`DerefFast`) is a PageTable of Frame*
+//     (sas/page_table.h): lookups are entirely lock-free (three atomic
+//     loads + mask + add) and cover every layer and page index, the table
+//     growing by publishing larger copies. All table *writes* (install /
+//     remove / invalidate) serialize on one small mutex; they only happen
+//     on fault, eviction and commit paths.
 //
 // CHECKP discipline under multi-threading: `Deref`/`DerefFast` return a
 // borrowed pointer that is only stable while no other thread can trigger an
@@ -73,6 +71,7 @@
 #include "common/status.h"
 #include "sas/file_manager.h"
 #include "sas/page_directory.h"
+#include "sas/page_table.h"
 #include "sas/xptr.h"
 
 namespace sedna {
@@ -171,24 +170,17 @@ class BufferManager {
   StatusOr<void*> Deref(Xptr addr);
 
   /// Hot-path deref used by single-threaded query execution and benchmarks:
-  /// two lock-free atomic loads + mask + add on a hit; CHECK-fails on I/O
+  /// three lock-free atomic loads + mask + add on a hit; CHECK-fails on I/O
   /// errors. See the CHECKP note in the header comment for when the
   /// returned pointer is stable.
   inline void* DerefFast(Xptr addr) {
-    uint32_t layer = addr.layer();
-    if (layer < kMaxLayers) {
-      LayerTable* t = layer_tables_[layer].load(std::memory_order_acquire);
-      uint32_t idx = addr.PageIndex();
-      if (t != nullptr && idx < t->slots) {
-        Frame* f = t->entries[idx].load(std::memory_order_acquire);
-        if (f != nullptr) {
-          // Feed the clock without dirtying the cache line on every hit.
-          if (!f->referenced.load(std::memory_order_relaxed)) {
-            f->referenced.store(true, std::memory_order_relaxed);
-          }
-          return f->data + addr.PageOffset();
-        }
+    Frame* f = fast_map_.Load(addr);
+    if (f != nullptr) {
+      // Feed the clock without dirtying the cache line on every hit.
+      if (!f->referenced.load(std::memory_order_relaxed)) {
+        f->referenced.store(true, std::memory_order_relaxed);
       }
+      return f->data + addr.PageOffset();
     }
     return DerefSlow(addr);
   }
@@ -234,18 +226,6 @@ class BufferManager {
  private:
   friend class PageGuard;
 
-  /// Per-layer shared-view fast map: page-index -> frame, lock-free to read.
-  struct LayerTable {
-    explicit LayerTable(uint32_t n)
-        : slots(n), entries(new std::atomic<Frame*>[n]) {
-      for (uint32_t i = 0; i < n; ++i) {
-        entries[i].store(nullptr, std::memory_order_relaxed);
-      }
-    }
-    const uint32_t slots;
-    std::unique_ptr<std::atomic<Frame*>[]> entries;
-  };
-
   /// Registry counters `buffer.shardN.<event>` for one shard, looked up
   /// once at pool construction so the hot path is a cached-pointer
   /// fetch_add (see common/metrics.h). Pools in one process share them.
@@ -270,9 +250,6 @@ class BufferManager {
     size_t clock_hand = 0;  // offset within [frame_begin, +frame_count)
     ShardCounters metrics;
   };
-
-  static constexpr uint32_t kMaxLayers = 512;
-  static constexpr uint32_t kInitialLayerSlots = 1u << 12;
 
   size_t ShardOf(PhysPageId ppn) const {
     // Multiplicative hash so consecutive physical pages spread over shards.
@@ -309,13 +286,10 @@ class BufferManager {
   size_t shard_count_ = 1;
   std::unique_ptr<Shard[]> shards_;
 
-  // Shared-view fast mapping: layer -> page-index -> frame. Entry loads are
-  // lock-free; growth and all entry stores serialize on table_mu_. Retired
-  // tables stay allocated until destruction so readers never chase freed
-  // memory.
-  std::unique_ptr<std::atomic<LayerTable*>[]> layer_tables_;
+  // Shared-view fast mapping: page -> frame. Loads are lock-free; every
+  // store serializes on table_mu_.
+  PageTable<Frame*> fast_map_;
   std::mutex table_mu_;
-  std::vector<std::unique_ptr<LayerTable>> owned_tables_;
 
   // Per-transaction frame lists (satellite of PublishTxnFrames/FlushTxn):
   // appended on fault of a transaction-owned version, validated against the

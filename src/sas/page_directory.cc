@@ -27,7 +27,7 @@ StatusOr<Xptr> SimplePageDirectory::AllocLogicalPage() {
   lock.unlock();
   SEDNA_ASSIGN_OR_RETURN(PhysPageId ppn, file_->AllocPage());
   lock.lock();
-  map_[lpid] = ppn;
+  table_.Store(Xptr(lpid), ppn);
   return Xptr(lpid);
 }
 
@@ -36,13 +36,12 @@ Status SimplePageDirectory::FreeLogicalPage(Xptr page_base) {
   PhysPageId ppn;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(page_base.raw);
-    if (it == map_.end()) {
+    ppn = table_.Load(page_base);
+    if (ppn == kInvalidPhysPage) {
       return Status::NotFound("logical page not mapped: " +
                               page_base.ToString());
     }
-    ppn = it->second;
-    map_.erase(it);
+    table_.Store(page_base, kInvalidPhysPage);
     free_lpids_.push_back(page_base.raw);
   }
   return file_->FreePage(ppn);
@@ -50,56 +49,55 @@ Status SimplePageDirectory::FreeLogicalPage(Xptr page_base) {
 
 Status SimplePageDirectory::Rebind(LogicalPageId lpid, PhysPageId ppn) {
   std::lock_guard<std::mutex> lock(mu_);
-  map_[lpid] = ppn;
+  table_.Store(Xptr(lpid), ppn);
   return Status::OK();
 }
 
 bool SimplePageDirectory::Contains(LogicalPageId lpid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.count(lpid) > 0;
+  return table_.Load(Xptr(lpid)) != kInvalidPhysPage;
 }
 
 size_t SimplePageDirectory::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
+  size_t n = 0;
+  table_.ForEach([&](Xptr, PhysPageId) { ++n; });
+  return n;
 }
 
 StatusOr<PhysPageId> SimplePageDirectory::Resolve(LogicalPageId lpid,
                                                   const ResolveContext&) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(lpid);
-  if (it == map_.end()) {
+  PhysPageId ppn = table_.Load(Xptr(lpid));
+  if (ppn == kInvalidPhysPage) {
     return Status::NotFound("logical page not mapped: " +
                             Xptr(lpid).ToString());
   }
-  return it->second;
+  return ppn;
 }
 
 StatusOr<PageResolver::WriteTarget> SimplePageDirectory::ResolveForWrite(
-    LogicalPageId lpid, const ResolveContext&) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(lpid);
-  if (it == map_.end()) {
-    return Status::NotFound("logical page not mapped: " +
-                            Xptr(lpid).ToString());
-  }
+    LogicalPageId lpid, const ResolveContext& ctx) {
   // Single-version directory: writes go to the page in place.
-  return WriteTarget{it->second, kInvalidPhysPage};
+  SEDNA_ASSIGN_OR_RETURN(PhysPageId ppn, Resolve(lpid, ctx));
+  return WriteTarget{ppn, kInvalidPhysPage};
 }
 
 std::string SimplePageDirectory::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
+  std::string entries;
+  uint64_t count = 0;
+  table_.ForEach([&](Xptr page, PhysPageId ppn) {
+    PutFixed64(&entries, page.raw);
+    PutFixed32(&entries, ppn);
+    ++count;
+  });
   std::string blob;
   PutFixed32(&blob, next_layer_);
   PutFixed32(&blob, next_page_in_layer_);
   PutFixed32(&blob, pages_per_layer_);
   PutVarint64(&blob, free_lpids_.size());
   for (uint64_t lpid : free_lpids_) PutFixed64(&blob, lpid);
-  PutVarint64(&blob, map_.size());
-  for (const auto& [lpid, ppn] : map_) {
-    PutFixed64(&blob, lpid);
-    PutFixed32(&blob, ppn);
-  }
+  PutVarint64(&blob, count);
+  blob += entries;
   return blob;
 }
 
@@ -111,6 +109,10 @@ Status SimplePageDirectory::Deserialize(const std::string& blob) {
       !d.GetFixed32(&pages_per_layer_) || !d.GetVarint64(&nfree)) {
     return Status::Corruption("bad page directory blob");
   }
+  if (pages_per_layer_ == 0 ||
+      pages_per_layer_ > (1ull << (32 - kPageSizeBits))) {
+    return Status::Corruption("bad page directory blob");
+  }
   free_lpids_.clear();
   free_lpids_.reserve(nfree);
   for (uint64_t i = 0; i < nfree; ++i) {
@@ -119,15 +121,22 @@ Status SimplePageDirectory::Deserialize(const std::string& blob) {
     free_lpids_.push_back(lpid);
   }
   if (!d.GetVarint64(&nmap)) return Status::Corruption("bad directory blob");
-  map_.clear();
-  map_.reserve(nmap);
+  table_.ClearAll();
   for (uint64_t i = 0; i < nmap; ++i) {
     uint64_t lpid;
     uint32_t ppn;
     if (!d.GetFixed64(&lpid) || !d.GetFixed32(&ppn)) {
       return Status::Corruption("bad directory blob");
     }
-    map_[lpid] = ppn;
+    // Only pages the allocator handed out can be mapped; anything else is
+    // corruption (and would make the table grow without bound).
+    Xptr page(lpid);
+    if (page.PageOffset() != 0 || page.layer() < kFirstLayer ||
+        page.layer() > next_layer_ ||
+        page.PageIndex() >= pages_per_layer_ || ppn == kInvalidPhysPage) {
+      return Status::Corruption("bad directory entry " + page.ToString());
+    }
+    table_.Store(page, ppn);
   }
   return Status::OK();
 }
@@ -136,8 +145,9 @@ std::vector<std::pair<LogicalPageId, PhysPageId>>
 SimplePageDirectory::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<LogicalPageId, PhysPageId>> out;
-  out.reserve(map_.size());
-  for (const auto& kv : map_) out.push_back(kv);
+  table_.ForEach([&](Xptr page, PhysPageId ppn) {
+    out.emplace_back(page.raw, ppn);
+  });
   return out;
 }
 

@@ -12,11 +12,11 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "sas/file_manager.h"
+#include "sas/page_table.h"
 #include "sas/xptr.h"
 
 namespace sedna {
@@ -54,6 +54,11 @@ class PageResolver {
 /// Allocates logical pages (layer address space) and maintains the
 /// single-version logical→physical map. Serializable to a meta blob so the
 /// mapping survives restarts.
+///
+/// The map is a PageTable: `Resolve` and `ResolveForWrite` are one
+/// lock-free lookup, so page pins on every core read it without a shared
+/// lock. Allocation, free, `Rebind` and `Deserialize` store into it under
+/// `mu_`, which also guards the allocator state.
 class SimplePageDirectory : public PageResolver {
  public:
   explicit SimplePageDirectory(FileManager* file) : file_(file) {}
@@ -88,9 +93,9 @@ class SimplePageDirectory : public PageResolver {
   std::vector<std::pair<LogicalPageId, PhysPageId>> Entries() const;
 
  private:
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // serializes table_ writers and the allocator
   FileManager* file_;
-  std::unordered_map<LogicalPageId, PhysPageId> map_;
+  PageTable<PhysPageId, kInvalidPhysPage> table_;
   // Logical address-space allocator state: bump pointer + free list.
   uint32_t next_layer_ = kFirstLayer;
   uint32_t next_page_in_layer_ = 0;

@@ -111,10 +111,17 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
     active_updaters_++;
   }
   uint64_t id = next_txn_id_.fetch_add(1);
+  // A read-only transaction takes its snapshot timestamp and registers it
+  // in one step with respect to commit publication: a commit landing in
+  // between would purge a version the snapshot needs before registration
+  // could protect it. Updaters read last-committed state; no snapshot.
+  std::unique_lock<std::mutex> publish_lock(publish_mu_, std::defer_lock);
+  if (read_only) publish_lock.lock();
   uint64_t snapshot = last_commit_ts_.load();
   if (versions_ != nullptr) {
     versions_->BeginTxn(id, read_only, snapshot);
   }
+  if (read_only) publish_lock.unlock();
   std::unique_ptr<Transaction> txn(
       new Transaction(this, id, read_only, snapshot));
   txn->counted_updater_ = !read_only;

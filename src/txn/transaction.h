@@ -176,7 +176,8 @@ class TransactionManager {
   std::atomic<uint64_t> last_commit_ts_;
   // Commit-timestamp assignment and version publication happen together
   // under this mutex, so snapshot readers always see a prefix of the
-  // commit order even when WAL durability was batched out of order.
+  // commit order even when WAL durability was batched out of order. A
+  // read-only Begin takes and registers its snapshot under it too.
   std::mutex publish_mu_;
   // Checkpoint drain state: count of live update transactions and the
   // gate that holds new ones while a checkpoint runs.

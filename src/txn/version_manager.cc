@@ -29,6 +29,14 @@ uint64_t VersionManager::MinActiveSnapshotLocked() const {
   return *active_snapshots_.begin();
 }
 
+void VersionManager::ClearWorkingFlagIfNoCopyLocked(LogicalPageId lpid,
+                                                    const PageVersions& pv) {
+  for (const auto& [txn, ppn] : pv.working) {
+    if (ppn != kInvalidPhysPage) return;  // a creator's marker is no copy
+  }
+  has_working_copy_.Store(Xptr(lpid), 0);
+}
+
 Status VersionManager::FreePhysicalLocked(PhysPageId ppn) {
   if (buffers_ != nullptr) buffers_->DiscardPhysical(ppn);
   return file_->FreePage(ppn);
@@ -131,6 +139,7 @@ Status VersionManager::CommitTxn(uint64_t txn_id, uint64_t commit_ts) {
     pv.committed.push_back({commit_ts, new_ppn});
     SEDNA_RETURN_IF_ERROR(directory_->Rebind(lpid, new_ppn));
     if (buffers_ != nullptr) buffers_->InvalidateShared(lpid);
+    ClearWorkingFlagIfNoCopyLocked(lpid, pv);
     PurgeSupersededLocked(lpid, &pv);
   }
   for (LogicalPageId lpid : state.allocated) {
@@ -167,6 +176,7 @@ Status VersionManager::AbortTxn(uint64_t txn_id) {
     if (working == vit->second.working.end()) continue;
     SEDNA_RETURN_IF_ERROR(FreePhysicalLocked(working->second));
     vit->second.working.erase(working);
+    ClearWorkingFlagIfNoCopyLocked(lpid, vit->second);
   }
   for (LogicalPageId lpid : state.allocated) {
     versions_.erase(lpid);
@@ -200,8 +210,43 @@ void VersionManager::OnPageFreed(uint64_t txn_id, LogicalPageId lpid) {
   it->second.freed.push_back(lpid);
 }
 
+// Lock-free resolution of last-committed reads. The locked path below
+// answers a `snapshot_ts == 0` read from the directory unless the caller's
+// own transaction holds a working copy of the page, so `mu_` is needed only
+// when the page has a working copy at all:
+//
+//   * `txn_id == 0` never owns a copy: the directory answer is exact.
+//   * Every write of `has_working_copy_` happens under `mu_`: ResolveForWrite
+//     sets it when it creates a copy, and CommitTxn / AbortTxn clear it
+//     after the last copy is gone and after the directory rebind.
+//   * A transaction only ever reads its own working copy, and it set the
+//     flag itself, in ResolveForWrite, before any read that must see the
+//     copy (its statements are ordered by its own control flow). Only its
+//     own commit or abort clears the flag again: ResolveForWrite refuses a
+//     second working version of a page, so no other transaction's commit
+//     or abort has a copy of it to retire. So the owner always observes
+//     the flag set and takes the locked path.
+//   * Any other reader, seeing a stale flag either way, is sent to the
+//     locked path or to the directory; both give the directory answer,
+//     which is what the locked code returns to every transaction but the
+//     copy's owner. A read racing a commit's rebind sees the old or the new
+//     mapping, as it would by taking `mu_` just before or just after the
+//     commit; document locks (S2PL) keep transactional readers off pages a
+//     commit is republishing in any case.
+//
+// Snapshot readers (`snapshot_ts != 0`) consult the version lists and keep
+// the locked path.
 StatusOr<PhysPageId> VersionManager::Resolve(LogicalPageId lpid,
                                              const ResolveContext& ctx) {
+  if (ctx.snapshot_ts == 0 &&
+      (ctx.txn_id == 0 || has_working_copy_.Load(Xptr(lpid)) == 0)) {
+    return directory_->Resolve(lpid, ctx);
+  }
+  return ResolveLocked(lpid, ctx);
+}
+
+StatusOr<PhysPageId> VersionManager::ResolveLocked(LogicalPageId lpid,
+                                                   const ResolveContext& ctx) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = versions_.find(lpid);
   if (it != versions_.end() && ctx.txn_id != 0) {
@@ -275,6 +320,7 @@ StatusOr<PageResolver::WriteTarget> VersionManager::ResolveForWrite(
   }
   SEDNA_ASSIGN_OR_RETURN(PhysPageId fresh, file_->AllocPage());
   pv.working[ctx.txn_id] = fresh;
+  has_working_copy_.Store(Xptr(lpid), 1);
   txn->second.written.push_back(lpid);
   m_version_copies_->Add();
   return WriteTarget{fresh, last};

@@ -28,6 +28,7 @@
 #include "sas/buffer_manager.h"
 #include "sas/file_manager.h"
 #include "sas/page_directory.h"
+#include "sas/page_table.h"
 #include "storage/storage_env.h"
 
 namespace sedna {
@@ -78,10 +79,18 @@ class VersionManager : public PageResolver {
 
   // --- PageResolver -----------------------------------------------------------
 
+  /// Last-committed reads (`snapshot_ts == 0`) of a page without a working
+  /// copy resolve through the directory without taking `mu_`; see the
+  /// ordering argument in version_manager.cc.
   StatusOr<PhysPageId> Resolve(LogicalPageId lpid,
                                const ResolveContext& ctx) override;
   StatusOr<WriteTarget> ResolveForWrite(LogicalPageId lpid,
                                         const ResolveContext& ctx) override;
+
+  /// Resolution with `mu_` held for every context: the reference the
+  /// lock-free path of `Resolve` must agree with.
+  StatusOr<PhysPageId> ResolveLocked(LogicalPageId lpid,
+                                     const ResolveContext& ctx);
 
   size_t live_version_count() const;
 
@@ -110,6 +119,9 @@ class VersionManager : public PageResolver {
   };
 
   uint64_t MinActiveSnapshotLocked() const;
+  /// Clears the page's working-copy flag once no transaction holds a copy.
+  void ClearWorkingFlagIfNoCopyLocked(LogicalPageId lpid,
+                                      const PageVersions& pv);
   void PurgeSupersededLocked(LogicalPageId lpid, PageVersions* pv);
   Status RunDeferredFreesLocked();
   Status FreePhysicalLocked(PhysPageId ppn);
@@ -124,6 +136,9 @@ class VersionManager : public PageResolver {
   std::multiset<uint64_t> active_snapshots_;
   std::vector<DeferredFree> deferred_frees_;
   uint64_t persistent_snapshot_ts_ = 0;
+  // 1 while some transaction holds a copy-on-write working version of the
+  // page. Read without mu_ by Resolve; written only under mu_.
+  PageTable<uint8_t> has_working_copy_;
 
   // Process-wide registry instruments, resolved once at construction: the
   // only record of version events.

@@ -155,9 +155,10 @@ TEST_F(ConcurrencyTest, SnapshotReadersNeverSeeTornState) {
         auto r = session->Execute(
             "number(doc('inv')/r/a) + number(doc('inv')/r/b)");
         (void)session->Commit();
-        if (!r.ok()) continue;
         reads.fetch_add(1);
-        if (r->serialized != "100") violations.fetch_add(1);
+        // A failed read is a violation too: a snapshot registered too late
+        // reads "page not visible in this snapshot".
+        if (!r.ok() || r->serialized != "100") violations.fetch_add(1);
       }
     });
   }
@@ -167,6 +168,92 @@ TEST_F(ConcurrencyTest, SnapshotReadersNeverSeeTornState) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(violations.load(), 0) << "torn snapshot observed";
   EXPECT_GT(reads.load(), 50);
+}
+
+TEST_F(ConcurrencyTest, SnapshotIsRegisteredBeforeCommitsCanPurgeIt) {
+  // A read-only transaction must take its timestamp and register it in one
+  // step with respect to commits. Otherwise a commit between the two steps
+  // purges a version the snapshot needs, and the reader sees that page at
+  // the older persistent snapshot (or not at all) and other pages at its
+  // own timestamp. The writer alternates between commits of `t` alone and
+  // commits of both `x` and `t`, so every committed state has t - x in
+  // {0, 1}; the checkpoint makes the persistent snapshot older than all of
+  // them.
+  {
+    auto setup = db_->Connect();
+    for (const char* doc : {"x", "t"}) {
+      ASSERT_TRUE(setup->Execute(std::string("CREATE DOCUMENT '") + doc +
+                                 "'")
+                      .ok());
+      ASSERT_TRUE(setup
+                      ->Execute(std::string("UPDATE insert <r>0</r> into "
+                                            "doc('") +
+                                doc + "')")
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db_->Checkpoint().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> failed_reads{0};
+  std::atomic<int> reads{0};
+  std::atomic<int> commits{0};
+
+  std::thread writer([&] {
+    auto session = db_->Connect();
+    int t = 0;
+    for (int round = 0; !stop.load(); ++round) {
+      // Even rounds: t += 1 (t - x becomes 1). Odd rounds: x = t = t + 1.
+      const bool both = round % 2 == 1;
+      const int next_t = t + 1;
+      if (!session->Begin().ok()) continue;
+      bool ok = session
+                    ->Execute("UPDATE replace $v in doc('t')/r with <r>" +
+                              std::to_string(next_t) + "</r>")
+                    .ok();
+      if (ok && both) {
+        ok = session
+                 ->Execute("UPDATE replace $v in doc('x')/r with <r>" +
+                           std::to_string(next_t) + "</r>")
+                 .ok();
+      }
+      if (ok && session->Commit().ok()) {
+        t = next_t;
+        commits.fetch_add(1);
+      } else {
+        if (session->in_transaction()) (void)session->Abort();
+        --round;  // retry the same kind of commit
+      }
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) {
+    readers.emplace_back([&] {
+      auto session = db_->Connect();
+      while (!stop.load()) {
+        if (!session->Begin(/*read_only=*/true).ok()) continue;
+        auto r = session->Execute(
+            "number(doc('t')/r) - number(doc('x')/r)");
+        (void)session->Commit();
+        reads.fetch_add(1);
+        if (!r.ok()) {
+          failed_reads.fetch_add(1);
+        } else if (r->serialized != "0" && r->serialized != "1") {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  stop.store(true);
+  writer.join();
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(violations.load(), 0) << "torn snapshot observed";
+  EXPECT_EQ(failed_reads.load(), 0) << "snapshot read failed";
+  EXPECT_GT(reads.load(), 50);
+  EXPECT_GT(commits.load(), 10);
 }
 
 TEST_F(ConcurrencyTest, RandomizedWorkloadMatchesReferenceModel) {

@@ -77,10 +77,19 @@ TEST(BufferConcurrencyTest, ReadersWritersEvictionStress) {
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
+  // Every thread runs kIters iterations and then keeps going until all
+  // have, so the readers' faults overlap the writers' dirtying however the
+  // scheduler runs the threads (a writer that ran only after the readers
+  // finished would leave nothing dirty to evict).
+  std::atomic<int> finished{0};
+  auto keep_going = [&](int it) {
+    if (it == kIters) finished.fetch_add(1);
+    return it < kIters || finished.load() < kReaders + kWriters;
+  };
 
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
-      for (int it = 0; it < kIters; ++it) {
+      for (int it = 0; keep_going(it); ++it) {
         int i = (r * 7 + it) % kReaderPages;
         auto g = bm.Pin(reader_pages[i]);
         if (!g.ok()) {
@@ -101,7 +110,7 @@ TEST(BufferConcurrencyTest, ReadersWritersEvictionStress) {
   for (int w = 0; w < kWriters; ++w) {
     // Writers partition the writer pages between themselves.
     threads.emplace_back([&, w] {
-      for (int it = 0; it < kIters; ++it) {
+      for (int it = 0; keep_going(it); ++it) {
         int i = w + (it % (kWriterPages / kWriters)) * kWriters;
         auto g = bm.Pin(writer_pages[i], /*for_write=*/true);
         if (!g.ok()) continue;

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "common/metrics.h"
+#include "common/random.h"
 #include "sas/buffer_manager.h"
 
 namespace sedna {
@@ -186,6 +191,215 @@ TEST_F(VersionManagerTest, ConcurrentUncommittedVersionsRejected) {
   EXPECT_EQ(guard.status().code(), StatusCode::kAborted);
   ASSERT_TRUE(versions_->AbortTxn(1).ok());
   ASSERT_TRUE(versions_->AbortTxn(2).ok());
+}
+
+/// True when both resolutions agree on status code and, if OK, on the page.
+bool SameResolution(const StatusOr<PhysPageId>& a,
+                    const StatusOr<PhysPageId>& b) {
+  if (a.ok() != b.ok()) return false;
+  if (!a.ok()) return a.status().code() == b.status().code();
+  return *a == *b;
+}
+
+// Single-threaded differential: after every step of a seeded sequence of
+// copy-on-write writes, page allocations and frees, commits, aborts,
+// snapshot begins and releases and persistent-snapshot moves, the
+// lock-free Resolve agrees with the locked path for every page and every
+// context: system reads, each live transaction's own context, an
+// unregistered transaction, and each live snapshot.
+TEST_F(VersionManagerTest, LockFreeResolveMatchesLockedPath) {
+  Random rng(42);
+  std::vector<Xptr> pages = {page_};
+  for (int i = 0; i < 11; ++i) {
+    auto p = directory_->AllocLogicalPage();
+    ASSERT_TRUE(p.ok());
+    pages.push_back(*p);
+  }
+  uint64_t next_txn = 1;
+  uint64_t ts = 1;
+  std::vector<uint64_t> writers;                        // read-write txns
+  std::vector<std::pair<uint64_t, uint64_t>> snapshots;  // (txn, ts)
+  auto pick = [&](auto& v) { return rng.Uniform(v.size()); };
+
+  int compared = 0;
+  for (int step = 0; step < 800; ++step) {
+    switch (rng.Uniform(9)) {
+      case 0:
+        versions_->BeginTxn(next_txn, false, 0);
+        writers.push_back(next_txn++);
+        break;
+      case 1:
+        versions_->BeginTxn(next_txn, true, ts);
+        snapshots.emplace_back(next_txn++, ts);
+        break;
+      case 2:
+      case 3:
+        if (!writers.empty()) {
+          // May fail (another txn's copy, a freed page); both are states
+          // the resolution paths must agree on.
+          (void)versions_->ResolveForWrite(pages[pick(pages)].raw,
+                                           TxnCtx(writers[pick(writers)]));
+        }
+        break;
+      case 4:
+        if (!writers.empty()) {
+          size_t i = pick(writers);
+          ASSERT_TRUE(versions_->CommitTxn(writers[i], ++ts).ok());
+          writers.erase(writers.begin() + i);
+        }
+        break;
+      case 5:
+        if (!writers.empty()) {
+          size_t i = pick(writers);
+          ASSERT_TRUE(versions_->AbortTxn(writers[i]).ok());
+          writers.erase(writers.begin() + i);
+        }
+        break;
+      case 6:
+        if (!snapshots.empty()) {
+          size_t i = pick(snapshots);
+          ASSERT_TRUE(versions_->CommitTxn(snapshots[i].first, 0).ok());
+          snapshots.erase(snapshots.begin() + i);
+        }
+        break;
+      case 7:
+        if (!writers.empty()) {
+          uint64_t txn = writers[pick(writers)];
+          if (rng.Bernoulli(0.5)) {
+            auto p = directory_->AllocLogicalPage();
+            ASSERT_TRUE(p.ok());
+            versions_->OnPageAllocated(txn, p->raw);
+            pages.push_back(*p);
+          } else {
+            versions_->OnPageFreed(txn, pages[pick(pages)].raw);
+          }
+        }
+        break;
+      default:
+        ASSERT_TRUE(versions_->SetPersistentSnapshot(ts).ok());
+        break;
+    }
+    std::vector<ResolveContext> contexts = {ResolveContext{},
+                                            TxnCtx(next_txn + 100)};
+    for (uint64_t txn : writers) contexts.push_back(TxnCtx(txn));
+    for (const auto& [txn, snap] : snapshots) {
+      contexts.push_back(TxnCtx(txn, true, snap));
+    }
+    for (Xptr page : pages) {
+      for (const ResolveContext& ctx : contexts) {
+        ASSERT_TRUE(SameResolution(versions_->Resolve(page.raw, ctx),
+                                   versions_->ResolveLocked(page.raw, ctx)))
+            << "step " << step << " page " << page.ToString() << " txn "
+            << ctx.txn_id << " snapshot " << ctx.snapshot_ts;
+        ++compared;
+      }
+    }
+  }
+  for (uint64_t txn : writers) ASSERT_TRUE(versions_->AbortTxn(txn).ok());
+  for (const auto& [txn, snap] : snapshots) {
+    ASSERT_TRUE(versions_->CommitTxn(txn, 0).ok());
+  }
+  EXPECT_GT(compared, 10000);
+}
+
+// Lock-free resolution under concurrency; run under -DSEDNA_SANITIZE=thread.
+// Writer threads run copy-on-write, commit and abort cycles on their own
+// pages. After each write, Resolve through the writer's own context must
+// return its working copy (the owner always sees its flag); after a commit
+// or abort, a system read must return the page that is now committed.
+// Reader threads resolve every page with txn_id 0 and with a read-write
+// context of their own that never writes; every read must succeed. A
+// directory thread allocates and frees other pages meanwhile.
+TEST_F(VersionManagerTest, LockFreeResolveStress) {
+  constexpr int kWriters = 2;
+  constexpr int kPagesPerWriter = 4;
+  constexpr int kReaders = 2;
+  constexpr int kCycles = 300;
+  std::vector<std::vector<Xptr>> owned(kWriters);
+  std::vector<Xptr> all;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPagesPerWriter; ++i) {
+      auto p = directory_->AllocLogicalPage();
+      ASSERT_TRUE(p.ok());
+      owned[w].push_back(*p);
+      all.push_back(*p);
+    }
+  }
+  std::atomic<uint64_t> next_txn{1};
+  std::atomic<uint64_t> next_ts{1};
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  auto fail = [&] { errors.fetch_add(1); };
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Random rng(7 + w);
+      std::map<uint64_t, PhysPageId> committed;
+      for (Xptr p : owned[w]) {
+        auto ppn = versions_->Resolve(p.raw, ResolveContext{});
+        if (!ppn.ok()) return fail();
+        committed[p.raw] = *ppn;
+      }
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        uint64_t txn = next_txn.fetch_add(1);
+        versions_->BeginTxn(txn, false, 0);
+        std::map<uint64_t, PhysPageId> copies;
+        for (Xptr p : owned[w]) {
+          if (!rng.Bernoulli(0.5)) continue;
+          auto wt = versions_->ResolveForWrite(p.raw, TxnCtx(txn));
+          if (!wt.ok()) return fail();
+          copies[p.raw] = wt->ppn;
+          auto own = versions_->Resolve(p.raw, TxnCtx(txn));
+          if (!own.ok() || *own != wt->ppn) fail();
+        }
+        if (rng.Bernoulli(0.7)) {
+          if (!versions_->CommitTxn(txn, next_ts.fetch_add(1)).ok()) fail();
+          for (const auto& [lpid, ppn] : copies) committed[lpid] = ppn;
+        } else if (!versions_->AbortTxn(txn).ok()) {
+          fail();
+        }
+        for (const auto& [lpid, ppn] : committed) {
+          auto now = versions_->Resolve(lpid, ResolveContext{});
+          if (!now.ok() || *now != ppn) fail();
+          auto other = versions_->Resolve(lpid, TxnCtx(txn));  // txn ended
+          if (!other.ok() || *other != ppn) fail();
+        }
+      }
+    });
+  }
+  std::vector<std::thread> others;
+  for (int r = 0; r < kReaders; ++r) {
+    others.emplace_back([&, r] {
+      Random rng(70 + r);
+      while (!stop.load(std::memory_order_relaxed)) {
+        uint64_t txn = next_txn.fetch_add(1);
+        versions_->BeginTxn(txn, false, 0);
+        for (int i = 0; i < 50; ++i) {
+          Xptr p = all[rng.Uniform(all.size())];
+          if (!versions_->Resolve(p.raw, ResolveContext{}).ok()) fail();
+          if (!versions_->Resolve(p.raw, TxnCtx(txn)).ok()) fail();
+        }
+        if (!versions_->CommitTxn(txn, next_ts.fetch_add(1)).ok()) fail();
+      }
+    });
+  }
+  others.emplace_back([&] {
+    std::vector<Xptr> mine;
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto p = directory_->AllocLogicalPage();
+      if (!p.ok()) return fail();
+      mine.push_back(*p);
+      if (mine.size() > 4) {
+        if (!directory_->FreeLogicalPage(mine.front()).ok()) fail();
+        mine.erase(mine.begin());
+      }
+    }
+  });
+  for (auto& t : writers) t.join();
+  stop.store(true);
+  for (auto& t : others) t.join();
+  EXPECT_EQ(errors.load(), 0);
 }
 
 }  // namespace
