@@ -30,6 +30,11 @@
 // random subset) with kResourceExhausted, deterministically, so OOM
 // torture tests can sweep hundreds of distinct failure points.
 //
+// Every blocking point a statement can reach (admission queue, checkpoint
+// gate and drain, group-commit follower, lock wait, result flow control)
+// waits through GovernedWait below, so all of them observe the deadline and
+// a cancel the same way and report the same terminal status.
+//
 // Thread-safety: Cancel() may be called from any thread at any time; the
 // accounting members are atomics, so a statement's own pipeline (single
 // threaded today, possibly parallel later) and a monitoring thread can
@@ -39,10 +44,13 @@
 #ifndef SEDNA_COMMON_QUERY_CONTEXT_H_
 #define SEDNA_COMMON_QUERY_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "common/status.h"
@@ -160,8 +168,8 @@ class QueryContext {
     return Check();
   }
 
-  /// Full governance check: cancellation flag, then deadline. Used directly
-  /// by wait loops (lock manager) and statement boundaries.
+  /// Full governance check: cancellation flag, then deadline. Used by
+  /// GovernedWait and at statement boundaries.
   Status Check();
 
   /// Charges `bytes` against the memory budget (one allocation point for
@@ -265,6 +273,47 @@ class MemoryReservation {
   QueryContext* query_ = nullptr;
   uint64_t bytes_ = 0;
 };
+
+/// Longest a GovernedWait sleeps between checks. A cancel has no notify
+/// channel into the waiter's condvar, so it is noticed within one slice.
+inline constexpr std::chrono::milliseconds kGovernedSlice{5};
+
+/// Blocks on `cv` (with `lock` held) until `ready()` holds, the statement
+/// aborts, or `until` passes. `ready()` is tested first, so a wait whose
+/// condition already holds never fails and never sleeps. Each round then
+/// runs the governance check and sleeps until a notify, one slice, the
+/// deadline or `until`, whichever comes first: the deadline is observed
+/// exactly, a cancel within one slice.
+///
+/// Returns OK when ready; kTimedOut when `until` passes; otherwise the
+/// statement's terminal status, which is its sticky abort status if one
+/// was recorded (an operator may have failed it first) and the failed check
+/// if not. A null `query` waits ungoverned, still waking every slice. The
+/// caller undoes its own bookkeeping (leaves a queue, reopens a gate) on
+/// failure.
+template <typename Ready>
+Status GovernedWait(QueryContext* query, std::condition_variable& cv,
+                    std::unique_lock<std::mutex>& lock, Ready ready,
+                    std::chrono::steady_clock::time_point until =
+                        std::chrono::steady_clock::time_point::max()) {
+  for (;;) {
+    if (ready()) return Status::OK();
+    if (query != nullptr) {
+      Status check = query->Check();
+      if (!check.ok()) {
+        Status abort = query->abort_status();
+        return abort.ok() ? check : abort;
+      }
+    }
+    auto now = std::chrono::steady_clock::now();
+    if (now >= until) return Status::TimedOut("governed wait timed out");
+    auto wake = std::min(until, now + kGovernedSlice);
+    if (query != nullptr && query->has_deadline()) {
+      wake = std::min(wake, query->deadline());
+    }
+    cv.wait_until(lock, wake);
+  }
+}
 
 }  // namespace sedna
 

@@ -1,9 +1,41 @@
 #include "db/database.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/metrics.h"
 
 namespace sedna {
+
+namespace {
+
+struct AdmissionMetrics {
+  Counter* admitted;
+  Counter* rejected;
+  Counter* queue_admitted;
+  Counter* queue_aborts;
+  Counter* checkpoints_admitted;
+  Counter* checkpoints_rejected;
+  Gauge* active;
+  Gauge* queued;
+};
+
+const AdmissionMetrics& GovernorAdmissionMetrics() {
+  static const AdmissionMetrics m = [] {
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    return AdmissionMetrics{reg.counter("governor.admitted"),
+                            reg.counter("governor.rejected"),
+                            reg.counter("governor.queue_admitted"),
+                            reg.counter("governor.queue_aborts"),
+                            reg.counter("governor.checkpoints_admitted"),
+                            reg.counter("governor.checkpoints_rejected"),
+                            reg.gauge("governor.active_statements"),
+                            reg.gauge("governor.queued_statements")};
+  }();
+  return m;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Database
@@ -138,12 +170,19 @@ std::unique_ptr<Session> Database::Connect() {
 }
 
 Status Database::Checkpoint() {
-  // Admission before the drain: a second concurrent checkpoint would only
-  // queue behind checkpoint_mu_ and re-drain writers for no benefit, so the
-  // governor sheds it with a retryable rejection instead.
-  SEDNA_ASSIGN_OR_RETURN(Governor::CheckpointTicket ticket,
-                         Governor::Instance().AdmitCheckpoint());
-  return txns_->Checkpoint();
+  // Admission before the drain: a second concurrent checkpoint of this
+  // database would only queue behind the first and re-drain its writers for
+  // no benefit, so it is shed with a retryable rejection instead.
+  const AdmissionMetrics& m = GovernorAdmissionMetrics();
+  if (checkpoint_running_.exchange(true)) {
+    m.checkpoints_rejected->Add();
+    return Status::ResourceExhausted(
+        "a checkpoint of this database is already running; retry later");
+  }
+  m.checkpoints_admitted->Add();
+  Status st = txns_->Checkpoint();
+  checkpoint_running_.store(false);
+  return st;
 }
 
 Status Database::CheckConsistency() {
@@ -198,14 +237,14 @@ void Session::BeginGoverned(QueryContext* query) {
   query->set_check_interval(check_interval_);
   if (cancel_at_tick_ != 0) query->set_cancel_at_tick(cancel_at_tick_);
   query->set_alloc_faults(alloc_faults_);
-  std::lock_guard<std::mutex> lock(cancel_mu_);
-  current_cancel_ = query->cancellation();
+  std::lock_guard<std::mutex> lock(query_mu_);
+  current_query_ = query;
 }
 
 void Session::EndGoverned(QueryContext* query) {
   {
-    std::lock_guard<std::mutex> lock(cancel_mu_);
-    current_cancel_.reset();
+    std::lock_guard<std::mutex> lock(query_mu_);
+    current_query_ = nullptr;
   }
   query->PublishMetrics();
 }
@@ -273,14 +312,10 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
       }
       return r;
     }
+    // A failed commit has already rolled the transaction back; a cut
+    // group-commit wait reports the statement's terminal status.
     Status commit_st = db_->txns()->Commit(txn->get(), &query);
-    if (!commit_st.ok()) {
-      // Commit already rolled the transaction back. Surface the sticky
-      // governance code when the wait was cancelled / timed out.
-      Status abort = query.abort_status();
-      if (!abort.ok()) return abort;
-      return commit_st;
-    }
+    if (!commit_st.ok()) return commit_st;
     return r;
   }();
   EndGoverned(&query);
@@ -288,8 +323,8 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
 }
 
 void Session::Cancel() {
-  std::lock_guard<std::mutex> lock(cancel_mu_);
-  if (current_cancel_ != nullptr) current_cancel_->Cancel();
+  std::lock_guard<std::mutex> lock(query_mu_);
+  if (current_query_ != nullptr) current_query_->Cancel();
 }
 
 StatusOr<QueryResult> Session::ExecuteIn(Transaction* txn,
@@ -362,36 +397,6 @@ void Governor::UnregisterDatabase(Database* db) {
   databases_.erase(db);
 }
 
-namespace {
-
-struct AdmissionMetrics {
-  Counter* admitted;
-  Counter* rejected;
-  Counter* queue_admitted;
-  Counter* queue_aborts;
-  Counter* checkpoints_admitted;
-  Counter* checkpoints_rejected;
-  Gauge* active;
-  Gauge* queued;
-};
-
-const AdmissionMetrics& GovernorAdmissionMetrics() {
-  static const AdmissionMetrics m = [] {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    return AdmissionMetrics{reg.counter("governor.admitted"),
-                            reg.counter("governor.rejected"),
-                            reg.counter("governor.queue_admitted"),
-                            reg.counter("governor.queue_aborts"),
-                            reg.counter("governor.checkpoints_admitted"),
-                            reg.counter("governor.checkpoints_rejected"),
-                            reg.gauge("governor.active_statements"),
-                            reg.gauge("governor.queued_statements")};
-  }();
-  return m;
-}
-
-}  // namespace
-
 void Governor::set_max_concurrent_statements(uint32_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   max_concurrent_statements_ = n;
@@ -424,6 +429,11 @@ uint32_t Governor::queued_statements() const {
   return static_cast<uint32_t>(admit_queue_.size());
 }
 
+bool Governor::SlotFreeLocked() const {
+  return max_concurrent_statements_ == 0 ||
+         active_statements_ < max_concurrent_statements_;
+}
+
 StatusOr<Governor::StatementTicket> Governor::AdmitStatement(
     QueryContext* query) {
   const AdmissionMetrics& m = GovernorAdmissionMetrics();
@@ -431,9 +441,7 @@ StatusOr<Governor::StatementTicket> Governor::AdmitStatement(
   // Fast path only when nobody is already parked: a free slot between a
   // release and the queue head waking must go to the FIFO head, not to a
   // newly arriving statement barging past it.
-  if (admit_queue_.empty() &&
-      (max_concurrent_statements_ == 0 ||
-       active_statements_ < max_concurrent_statements_)) {
+  if (admit_queue_.empty() && SlotFreeLocked()) {
     active_statements_++;
     m.admitted->Add();
     m.active->Set(static_cast<int64_t>(active_statements_));
@@ -451,47 +459,31 @@ StatusOr<Governor::StatementTicket> Governor::AdmitStatement(
         " queue slots in use); retry later");
   }
   // Bounded FIFO wait: park until the head of the queue AND a free slot
-  // line up. The wait runs in governed slices so the statement's deadline
-  // or a Cancel() (e.g. server drain) aborts it instead of waiting forever.
+  // line up. The wait is governed, so the statement's deadline or a
+  // Cancel() (e.g. server drain) aborts it instead of waiting forever.
   const uint64_t my_id = next_waiter_id_++;
   admit_queue_.push_back(my_id);
   m.queued->Set(static_cast<int64_t>(admit_queue_.size()));
-  auto leave_queue = [&] {
-    for (auto it = admit_queue_.begin(); it != admit_queue_.end(); ++it) {
-      if (*it == my_id) {
-        admit_queue_.erase(it);
-        break;
-      }
-    }
-    m.queued->Set(static_cast<int64_t>(admit_queue_.size()));
-  };
-  for (;;) {
-    if (!admit_queue_.empty() && admit_queue_.front() == my_id &&
-        (max_concurrent_statements_ == 0 ||
-         active_statements_ < max_concurrent_statements_)) {
-      admit_queue_.pop_front();
-      m.queued->Set(static_cast<int64_t>(admit_queue_.size()));
-      active_statements_++;
-      m.admitted->Add();
-      m.queue_admitted->Add();
-      m.active->Set(static_cast<int64_t>(active_statements_));
-      // Later arrivals may also be admissible (cap raised / several
-      // releases); let the next head re-check.
-      admit_cv_.notify_all();
-      return StatementTicket(this);
-    }
-    if (query != nullptr) {
-      Status st = query->Check();
-      if (!st.ok()) {
-        leave_queue();
-        m.queue_aborts->Add();
-        admit_cv_.notify_all();
-        Status abort = query->abort_status();
-        return abort.ok() ? st : abort;
-      }
-    }
-    admit_cv_.wait_for(lock, std::chrono::milliseconds(5));
+  Status st = GovernedWait(query, admit_cv_, lock, [&] {
+    return admit_queue_.front() == my_id && SlotFreeLocked();
+  });
+  if (st.ok()) {
+    admit_queue_.pop_front();
+    active_statements_++;
+    m.admitted->Add();
+    m.queue_admitted->Add();
+    m.active->Set(static_cast<int64_t>(active_statements_));
+  } else {
+    admit_queue_.erase(
+        std::find(admit_queue_.begin(), admit_queue_.end(), my_id));
+    m.queue_aborts->Add();
   }
+  m.queued->Set(static_cast<int64_t>(admit_queue_.size()));
+  // The new head re-checks: later arrivals may also be admissible (cap
+  // raised, several releases), and an aborted head hands its turn on.
+  admit_cv_.notify_all();
+  if (!st.ok()) return st;
+  return StatementTicket(this);
 }
 
 void Governor::ReleaseStatement() {
@@ -505,36 +497,6 @@ void Governor::ReleaseStatement() {
 void Governor::StatementTicket::Release() {
   if (gov_ != nullptr) {
     gov_->ReleaseStatement();
-    gov_ = nullptr;
-  }
-}
-
-StatusOr<Governor::CheckpointTicket> Governor::AdmitCheckpoint() {
-  const AdmissionMetrics& m = GovernorAdmissionMetrics();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (checkpoint_active_) {
-    m.checkpoints_rejected->Add();
-    return Status::ResourceExhausted(
-        "a checkpoint is already running; retry later");
-  }
-  checkpoint_active_ = true;
-  m.checkpoints_admitted->Add();
-  return CheckpointTicket(this);
-}
-
-bool Governor::checkpoint_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return checkpoint_active_;
-}
-
-void Governor::ReleaseCheckpoint() {
-  std::lock_guard<std::mutex> lock(mu_);
-  checkpoint_active_ = false;
-}
-
-void Governor::CheckpointTicket::Release() {
-  if (gov_ != nullptr) {
-    gov_->ReleaseCheckpoint();
     gov_ = nullptr;
   }
 }

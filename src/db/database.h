@@ -11,6 +11,7 @@
 #ifndef SEDNA_DB_DATABASE_H_
 #define SEDNA_DB_DATABASE_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -80,8 +81,9 @@ class Database {
 
   /// Persistent snapshot (checkpoint). Safe under concurrent writers: the
   /// transaction manager drains active update transactions and gates new
-  /// ones only for the flip. Admitted through the Governor — a second
-  /// concurrent checkpoint is rejected with a retryable status.
+  /// ones only for the flip. A second concurrent checkpoint of this
+  /// database is rejected with a retryable status; other databases are
+  /// unaffected.
   Status Checkpoint();
 
   /// Deep offline-style consistency sweep (CHECK DATABASE): validates every
@@ -136,6 +138,7 @@ class Database {
   std::unique_ptr<BackupManager> backup_;
   std::unique_ptr<ValueIndexManager> indexes_;
   uint64_t recovered_statements_ = 0;
+  std::atomic<bool> checkpoint_running_{false};  // admits one Checkpoint()
 };
 
 /// A client session (Figure 1's connection + transaction components).
@@ -203,13 +206,15 @@ class Session {
   /// governance check.
   void Cancel();
 
-  /// Cancellation token of the statement executing right now (null between
-  /// statements). Thread-safe; the network front end polls it while a
-  /// result-sink write waits on client flow control, so an out-of-band
-  /// Cancel also unblocks a statement stalled on a slow reader.
-  std::shared_ptr<CancellationToken> current_cancellation() const {
-    std::lock_guard<std::mutex> lock(cancel_mu_);
-    return current_cancel_;
+  /// Governance context of the statement executing right now (null between
+  /// statements). The pointer is valid only while that statement runs, so
+  /// only code on the statement's own thread may use it: the network front
+  /// end's result sink governs its flow-control wait with it, so the
+  /// statement deadline and an out-of-band Cancel also end a statement
+  /// stalled on a slow reader.
+  QueryContext* current_query() const {
+    std::lock_guard<std::mutex> lock(query_mu_);
+    return current_query_;
   }
 
   /// Incremental result delivery: when set, each query-result item is
@@ -228,7 +233,7 @@ class Session {
                                   QueryContext* query);
 
   /// Applies the session's governance knobs to a fresh context and installs
-  /// its cancellation token as the current one (so Cancel() reaches it).
+  /// it as the current one (so Cancel() reaches it).
   /// The context lives in the caller's frame: it must span every governed
   /// wait of the operation, including an autocommit's group-commit wait.
   void BeginGoverned(QueryContext* query);
@@ -245,10 +250,10 @@ class Session {
   uint64_t cancel_at_tick_ = 0;
   AllocFaultInjector* alloc_faults_ = nullptr;
 
-  // Cancellation token of the statement executing right now; shared with
-  // Cancel() callers on other threads.
-  mutable std::mutex cancel_mu_;
-  std::shared_ptr<CancellationToken> current_cancel_;
+  // Context of the statement executing right now; Cancel() callers on
+  // other threads reach it under the mutex.
+  mutable std::mutex query_mu_;
+  QueryContext* current_query_ = nullptr;
 };
 
 /// Process-wide control center (Figure 1's governor): component registry
@@ -310,7 +315,7 @@ class Governor {
 
   /// Statements allowed to QUEUE (bounded FIFO) when the concurrency cap is
   /// reached, instead of bouncing immediately. 0 (default) keeps the legacy
-  /// reject-on-full behavior; the network front end sets this so a burst of
+  /// reject-on-full behavior; an embedding program sets this so a burst of
   /// client statements waits its turn (backpressure) rather than raining
   /// retryable errors on every client.
   void set_max_queued_statements(uint32_t n);
@@ -325,45 +330,10 @@ class Governor {
   /// full queue still rejects immediately).
   StatusOr<StatementTicket> AdmitStatement(QueryContext* query = nullptr);
 
-  /// RAII admission slot for a running checkpoint. At most one checkpoint
-  /// runs process-wide; a second request is rejected with a retryable
-  /// kResourceExhausted instead of queueing behind the drain.
-  class CheckpointTicket {
-   public:
-    CheckpointTicket() = default;
-    CheckpointTicket(CheckpointTicket&& other) noexcept : gov_(other.gov_) {
-      other.gov_ = nullptr;
-    }
-    CheckpointTicket& operator=(CheckpointTicket&& other) noexcept {
-      if (this != &other) {
-        Release();
-        gov_ = other.gov_;
-        other.gov_ = nullptr;
-      }
-      return *this;
-    }
-    ~CheckpointTicket() { Release(); }
-
-    CheckpointTicket(const CheckpointTicket&) = delete;
-    CheckpointTicket& operator=(const CheckpointTicket&) = delete;
-
-    void Release();
-
-   private:
-    friend class Governor;
-    explicit CheckpointTicket(Governor* gov) : gov_(gov) {}
-    Governor* gov_ = nullptr;
-  };
-
-  /// Admits one checkpoint, or rejects it (retryably) while another is
-  /// already running.
-  StatusOr<CheckpointTicket> AdmitCheckpoint();
-  bool checkpoint_active() const;
-
  private:
   Governor() = default;
   void ReleaseStatement();
-  void ReleaseCheckpoint();
+  bool SlotFreeLocked() const;
 
   mutable std::mutex mu_;
   std::condition_variable admit_cv_;
@@ -375,7 +345,6 @@ class Governor {
   uint32_t max_queued_statements_ = 0;
   uint64_t next_waiter_id_ = 1;
   std::deque<uint64_t> admit_queue_;  // FIFO of waiting statement ids
-  bool checkpoint_active_ = false;
 };
 
 }  // namespace sedna

@@ -18,8 +18,6 @@ namespace sedna::net {
 
 namespace {
 
-constexpr std::chrono::milliseconds kGovernedSlice{5};
-
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
@@ -730,23 +728,19 @@ void Server::ProcessOne(const ConnPtr& c) {
 }
 
 Status Server::BlockingEnqueue(const ConnPtr& c, std::string frames) {
-  const auto stall_deadline =
-      std::chrono::steady_clock::now() + options_.write_stall_timeout;
   std::unique_lock<std::mutex> cl(c->mu);
-  for (;;) {
-    if (c->closed || c->doomed) {
-      return Status::Unavailable("connection closed");
-    }
-    if (c->out_bytes < options_.write_buffer_soft_cap) break;
-    if (draining_hard_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("server shutting down");
-    }
-    std::shared_ptr<CancellationToken> token =
-        c->session->current_cancellation();
-    if (token != nullptr && token->cancelled()) {
-      return Status::Cancelled("statement cancelled while streaming results");
-    }
-    if (std::chrono::steady_clock::now() >= stall_deadline) {
+  auto writable = [&] {
+    return c->closed || c->doomed ||
+           draining_hard_.load(std::memory_order_acquire) ||
+           c->out_bytes < options_.write_buffer_soft_cap;
+  };
+  if (!writable()) {
+    // Flow control: wait for the client to read, governed by the statement
+    // this worker is running (none between statements).
+    Status st = GovernedWait(
+        c->session->current_query(), c->write_cv, cl, writable,
+        std::chrono::steady_clock::now() + options_.write_stall_timeout);
+    if (st.code() == StatusCode::kTimedOut) {
       // The client stopped reading; free the worker and drop the client.
       DoomLocked(c, std::move(cl));
       return Status::Unavailable("client stalled (write buffer full for " +
@@ -754,7 +748,14 @@ Status Server::BlockingEnqueue(const ConnPtr& c, std::string frames) {
                                      options_.write_stall_timeout.count()) +
                                  " ms)");
     }
-    c->write_cv.wait_for(cl, kGovernedSlice);
+    SEDNA_RETURN_IF_ERROR(st);
+  }
+  if (c->closed || c->doomed) {
+    return Status::Unavailable("connection closed");
+  }
+  if (c->out_bytes >= options_.write_buffer_soft_cap) {
+    // Ready only because the drain went hard.
+    return Status::Unavailable("server shutting down");
   }
   c->out_bytes += frames.size();
   c->out.push_back(std::move(frames));
@@ -840,6 +841,7 @@ void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
   // frames of result_chunk_bytes and flow-controlled per connection, so
   // the result never materializes server-side.
   std::string chunk_buf;
+  size_t queued_chunks = 0;
   Status sink_status;  // first enqueue failure, kept for classification
   auto flush_chunks = [&]() -> Status {
     size_t chunk = options_.result_chunk_bytes == 0
@@ -855,6 +857,7 @@ void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
         return st;
       }
       metrics_->result_chunks->Add();
+      ++queued_chunks;
       chunk_buf.erase(0, chunk);
     }
     return Status::OK();
@@ -892,6 +895,25 @@ void Server::ExecuteStatement(const ConnPtr& c, const WorkItem& item) {
   Status st = !sink_status.ok() ? sink_status : result.status();
   std::string frame;
   AppendFrame(&frame, MessageType::kError, EncodeError(st));
+  {
+    // The client discards a failed statement's partial result, so its
+    // unsent chunks are dropped and the Error frame fits under the soft cap
+    // even when the statement was cut while the client was not reading.
+    // They are the tail of the queue (earlier replies went out first); a
+    // partly written front frame stays, and a frame the loop appended since
+    // (a protocol error) ends the scan.
+    std::lock_guard<std::mutex> cl(c->mu);
+    const size_t keep = c->out_offset > 0 ? 1 : 0;
+    for (; queued_chunks > 0 && c->out.size() > keep; --queued_chunks) {
+      const std::string& tail = c->out.back();
+      if (static_cast<MessageType>(tail[kFrameHeaderBytes - 1]) !=
+          MessageType::kResultChunk) {
+        break;
+      }
+      c->out_bytes -= tail.size();
+      c->out.pop_back();
+    }
+  }
   (void)BlockingEnqueue(c, std::move(frame));
   finish(/*error=*/true);
 }

@@ -13,13 +13,16 @@
 //     connections on a handful of threads.
 //   * per-connection Session state carries the governance knobs (timeout,
 //     memory budget, parallel workers, ...) set via SetOption; every
-//     statement is admitted through the process-wide Governor, so the
-//     server inherits admission control (reject or bounded-FIFO queue).
+//     statement passes the process-wide Governor's admission gate. Its
+//     caps (reject or bounded-FIFO queue) are off unless the embedding
+//     program sets them; the server never does.
 //   * results STREAM: the session's result sink slices the serialized
 //     result into ResultChunk frames and queues them on the connection,
-//     blocking (governed) when the connection's write buffer is full —
+//     blocking when the connection's write buffer is full. The wait is
+//     governed by the statement, so its deadline and a Cancel end it —
 //     a large result never materializes server-side and a stalled client
-//     throttles only its own statement.
+//     throttles only its own statement. A failed statement's unsent
+//     chunks are dropped before its Error frame is queued.
 //   * the worker that produced a reply SENDS it: after queueing, it
 //     writes the queued bytes itself (under the connection mutex, as the
 //     loop does), and the last chunk travels with ResultDone in one
@@ -239,8 +242,8 @@ class Server {
   void AbortAbandonedTxn(const ConnPtr& c);
   /// Flow-controlled enqueue from a worker, which then sends the queued
   /// bytes itself (SendFromWorker); aborts when the connection dies, the
-  /// statement is cancelled, the drain goes hard, or the client stalls
-  /// past write_stall_timeout.
+  /// running statement is cancelled or past its deadline, the drain goes
+  /// hard, or the client stalls past write_stall_timeout.
   Status BlockingEnqueue(const ConnPtr& c, std::string frames);
   /// Worker side of a send: writes what the socket takes now and hands
   /// the rest (leftover bytes, a failed write, a pending close) to the

@@ -1,6 +1,5 @@
 #include "txn/lock_manager.h"
 
-#include <algorithm>
 #include <cstdint>
 
 namespace sedna {
@@ -67,57 +66,31 @@ Status LockManager::Acquire(uint64_t txn_id, const std::string& resource,
   }
 
   if (!CanGrantLocked(state, txn_id, mode)) {
-    // A governed statement must not even start waiting when it is already
-    // cancelled or past its deadline.
-    if (query != nullptr) {
-      Status st = query->Check();
-      if (!st.ok()) {
-        m_governance_aborts_->Add();
-        return st;
-      }
-    }
-    m_waits_->Add();
+    // A statement already cancelled or past its deadline fails the wait's
+    // first check without blocking, so it is not counted as a wait.
+    const bool blocks = query == nullptr || query->Check().ok();
+    if (blocks) m_waits_->Add();
     state.waiters++;
     auto wait_start = std::chrono::steady_clock::now();
-    auto wait_end = wait_start + JitteredTimeout(txn_id, timeout);
-    // The cancellation token has no notify channel into this condvar, so a
-    // governed wait is sliced: each slice re-runs the governance check, so
-    // cancellation and the statement deadline are observed within one slice
-    // (the deadline exactly, by capping the slice at it).
-    constexpr auto kGovernedSlice = std::chrono::milliseconds(5);
-    bool granted = false;
-    Status governance = Status::OK();
-    for (;;) {
-      auto now = std::chrono::steady_clock::now();
-      if (query != nullptr) {
-        governance = query->Check();
-        if (!governance.ok()) break;
-      }
-      granted = CanGrantLocked(state, txn_id, mode);
-      if (granted || now >= wait_end) break;
-      auto until = wait_end;
-      if (query != nullptr) {
-        until = std::min(until, now + kGovernedSlice);
-        if (query->has_deadline()) until = std::min(until, query->deadline());
-      }
-      cv_.wait_until(lock, until, [&] {
-        return CanGrantLocked(state, txn_id, mode);
-      });
+    Status st = GovernedWait(
+        query, cv_, lock, [&] { return CanGrantLocked(state, txn_id, mode); },
+        wait_start + JitteredTimeout(txn_id, timeout));
+    if (blocks) {
+      m_wait_ns_->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - wait_start)
+              .count()));
     }
-    m_wait_ns_->Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count()));
     state.waiters--;
-    if (!governance.ok()) {
-      m_governance_aborts_->Add();
-      return governance;
-    }
-    if (!granted) {
+    if (st.code() == StatusCode::kTimedOut) {
       m_deadlock_aborts_->Add();
       return Status::TimedOut("lock wait on '" + resource +
                               "' timed out (possible deadlock); abort the "
                               "transaction and retry");
+    }
+    if (!st.ok()) {
+      m_governance_aborts_->Add();
+      return st;
     }
   }
   state.holders[txn_id] = mode;

@@ -1,27 +1,10 @@
 #include "txn/transaction.h"
 
-#include <chrono>
 #include <map>
 
 #include "common/logging.h"
 
 namespace sedna {
-
-namespace {
-
-// Wait slice for governed blocking (checkpoint gate/drain): short enough
-// that cancellation is noticed promptly, long enough that re-checking
-// governance is cheap. Matches LockManager::Acquire.
-constexpr auto kGovernedSlice = std::chrono::milliseconds(5);
-
-// Maps a failed governance check to the status the caller should see: the
-// statement's sticky abort status when one was recorded, else the check's.
-Status GovernanceStatus(QueryContext* query, const Status& check) {
-  Status abort = query->abort_status();
-  return abort.ok() ? check : abort;
-}
-
-}  // namespace
 
 Transaction::~Transaction() {
   if (active_) {
@@ -101,13 +84,8 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
     // and has logged nothing, so nobody can be waiting on it — the drain
     // cannot deadlock through this gate.
     std::unique_lock<std::mutex> lk(drain_mu_);
-    while (checkpoint_pending_) {
-      if (query != nullptr) {
-        Status st = query->Check();
-        if (!st.ok()) return GovernanceStatus(query, st);
-      }
-      drain_cv_.wait_for(lk, kGovernedSlice);
-    }
+    SEDNA_RETURN_IF_ERROR(GovernedWait(query, drain_cv_, lk,
+                                       [&] { return !checkpoint_pending_; }));
     active_updaters_++;
   }
   uint64_t id = next_txn_id_.fetch_add(1);
@@ -243,17 +221,14 @@ Status TransactionManager::Checkpoint(QueryContext* query) {
   {
     std::unique_lock<std::mutex> lk(drain_mu_);
     checkpoint_pending_ = true;
-    while (active_updaters_ > 0) {
-      if (query != nullptr) {
-        Status st = query->Check();
-        if (!st.ok()) {
-          checkpoint_pending_ = false;
-          lk.unlock();
-          drain_cv_.notify_all();
-          return GovernanceStatus(query, st);
-        }
-      }
-      drain_cv_.wait_for(lk, kGovernedSlice);
+    Status drained = GovernedWait(query, drain_cv_, lk,
+                                  [&] { return active_updaters_ == 0; });
+    if (!drained.ok()) {
+      // Reopen the gate for the updaters parked behind it.
+      checkpoint_pending_ = false;
+      lk.unlock();
+      drain_cv_.notify_all();
+      return drained;
     }
   }
 

@@ -106,7 +106,7 @@ class TransactionManager {
     return write_gate_ ? write_gate_() : Status::OK();
   }
 
-  /// Starts a transaction. A non-read-only Begin waits (in governed slices
+  /// Starts a transaction. A non-read-only Begin waits (a governed wait
   /// when `query` is non-null) while a checkpoint is flipping — the gate
   /// sits before any lock or WAL record, so a gated transaction holds
   /// nothing another transaction could wait on.

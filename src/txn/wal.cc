@@ -15,11 +15,6 @@ namespace {
 constexpr uint32_t kWalSegmentMagic = 0x5357414c;  // "WALS"
 constexpr uint32_t kWalSegmentVersion = 1;
 
-// Follower wait slice for group commit: long enough to make re-checking
-// governance cheap, short enough that a cancelled statement notices within
-// one slice (same constant as LockManager::Acquire).
-constexpr auto kGovernedSlice = std::chrono::milliseconds(5);
-
 // WAL instruments are shared by every WalWriter (and the free recovery
 // functions below), so they live in one lazily-built bundle.
 struct WalMetrics {
@@ -328,27 +323,21 @@ StatusOr<uint64_t> WalWriter::AppendCommitAndSync(uint64_t txn_id,
   commit_queue_.push_back(&me);
   if (gathering_) commit_cv_.notify_all();
 
-  // Follower: wait (in governed slices) until a leader finishes our group
-  // or there is no leader and it is our turn to lead.
-  while (!me.done && leader_active_) {
-    if (query != nullptr && !me.picked) {
-      Status st = query->Check();
-      if (!st.ok()) {
-        // Withdraw: no leader has picked this record yet, so it was never
-        // written — the commit is guaranteed absent after recovery.
-        for (auto it = commit_queue_.begin(); it != commit_queue_.end();
-             ++it) {
-          if (*it == &me) {
-            commit_queue_.erase(it);
-            break;
-          }
-        }
-        Status abort = query->abort_status();
-        return abort.ok() ? st : abort;
-      }
-    }
-    commit_cv_.wait_for(lk, kGovernedSlice);
+  // Follower: wait until a leader finishes our group, picks our record, or
+  // leaves us to lead. Until a leader picks the record the wait is governed.
+  Status st = GovernedWait(query, commit_cv_, lk, [&] {
+    return me.done || !leader_active_ || me.picked;
+  });
+  if (!st.ok()) {
+    // Withdraw: no leader has picked this record yet, so it was never
+    // written — the commit is guaranteed absent after recovery.
+    commit_queue_.erase(
+        std::find(commit_queue_.begin(), commit_queue_.end(), &me));
+    return st;
   }
+  // A picked record's fate belongs to its leader: wait for the outcome.
+  (void)GovernedWait(nullptr, commit_cv_, lk,
+                     [&] { return me.done || !leader_active_; });
   if (me.done) {
     if (!me.status.ok()) return me.status;
     return me.lsn;

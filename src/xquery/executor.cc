@@ -404,8 +404,7 @@ StatusOr<Sequence> EvalPath(const Expr& path, ExecContext& ctx) {
   size_t step_idx = 0;
 
   // Structural fragment served from the descriptive schema.
-  if (ctx.enable_schema_paths && !path.steps.empty() &&
-      path.steps[0].schema_resolved && in.size() == 1 &&
+  if (!path.steps.empty() && path.steps[0].schema_resolved && in.size() == 1 &&
       in[0].is_stored_node()) {
     SEDNA_ASSIGN_OR_RETURN(XmlKind kind, NodeKind(ctx.op, in[0]));
     if (kind == XmlKind::kDocument) {
@@ -845,7 +844,7 @@ StatusOr<Item> BuildElement(const Expr& ctor, ExecContext& ctx) {
     }
   }
 
-  if (ctor.virtual_ok && ctx.enable_virtual_constructors) {
+  if (ctor.virtual_ok) {
     // Virtual element constructor: no deep copy of the content.
     ctx.Count(&ExecStats::virtual_elements);
     auto v = std::make_shared<VirtualElement>();
@@ -1887,8 +1886,8 @@ StatusOr<StreamPtr> EvalPathStream(const Expr& path, ExecContext& ctx) {
   size_t step_idx = 0;
   StreamPtr in;
 
-  bool schema_candidate = ctx.enable_schema_paths && !path.steps.empty() &&
-                          path.steps[0].schema_resolved;
+  bool schema_candidate =
+      !path.steps.empty() && path.steps[0].schema_resolved;
   if (schema_candidate) {
     // Schema resolution needs the input node up front; a structural
     // fragment's input is a single doc() call, so this materializes one
@@ -1913,7 +1912,7 @@ StatusOr<StreamPtr> EvalPathStream(const Expr& path, ExecContext& ctx) {
             path.steps[end - 1].predicates;
         bool exchanged = false;
         bool index_served = false;
-        if (ctx.enable_index_scan && ctx.indexes != nullptr &&
+        if (ctx.indexes != nullptr &&
             !sns.empty() && frag_preds.size() == 1 &&
             path.steps[end - 1].index_candidate) {
           SEDNA_ASSIGN_OR_RETURN(StreamPtr probe,

@@ -129,11 +129,9 @@ struct ExecContext {
   int64_t context_pos = 0;
   int64_t context_size = 0;
 
-  // Feature toggles used by benchmarks to compare optimizations on/off.
-  bool enable_virtual_constructors = true;
-  bool enable_schema_paths = true;
-  bool enable_streaming = true;  // pull-based pipeline vs. eager evaluation
-  bool enable_index_scan = true;  // cost-based value-index plan selection
+  // Pull-based pipeline vs. eager evaluation; the eager evaluator is the
+  // reference the differential tests compare against.
+  bool enable_streaming = true;
 
   /// Items per NextBatch() on full-drain paths (early-exit consumers
   /// always use 1). Session knob / SEDNA_BATCH_SIZE.

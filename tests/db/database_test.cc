@@ -8,6 +8,8 @@
 #include <fstream>
 #include <thread>
 
+#include "common/metrics.h"
+
 namespace sedna {
 namespace {
 
@@ -521,21 +523,116 @@ TEST_F(DatabaseTest, GovernorTracksComponents) {
   EXPECT_FALSE(still_there);
 }
 
-TEST_F(DatabaseTest, GovernorAdmitsOneCheckpointAtATime) {
-  auto first = Governor::Instance().AdmitCheckpoint();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(Governor::Instance().checkpoint_active());
+// --- checkpoint admission, gate and drain -----------------------------------
 
-  // While one checkpoint holds the ticket, a second is turned away with a
-  // retryable error — Database::Checkpoint() surfaces this to callers.
-  auto second = Governor::Instance().AdmitCheckpoint();
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-  Status db_st = db_->Checkpoint();
-  EXPECT_EQ(db_st.code(), StatusCode::kResourceExhausted);
+// Blocks until `txns` has a checkpoint parked in its drain, i.e. the gate
+// for new update transactions is closed. A probe whose deadline has already
+// passed is turned away only by a closed gate: the governed wait tests its
+// ready condition (gate open) before the deadline.
+void WaitForClosedCheckpointGate(TransactionManager* txns) {
+  for (;;) {
+    QueryContext expired;
+    expired.set_deadline(std::chrono::steady_clock::now());
+    auto probe = txns->Begin(/*read_only=*/false, &expired);
+    if (!probe.ok()) {
+      ASSERT_EQ(probe.status().code(), StatusCode::kDeadlineExceeded);
+      return;
+    }
+    ASSERT_TRUE(txns->Abort(probe->get()).ok());
+    std::this_thread::sleep_for(1ms);
+  }
+}
 
-  first->Release();
-  EXPECT_FALSE(Governor::Instance().checkpoint_active());
+TEST_F(DatabaseTest, CheckpointAdmissionIsPerDatabase) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* admitted = reg.counter("governor.checkpoints_admitted");
+  Counter* rejected = reg.counter("governor.checkpoints_rejected");
+  const uint64_t admitted0 = admitted->value();
+  const uint64_t rejected0 = rejected->value();
+
+  // An open read-write transaction parks A's checkpoint in its drain.
+  auto writer = db_->Connect();
+  ASSERT_TRUE(writer->Begin(/*read_only=*/false).ok());
+  Status first = Status::Internal("never ran");
+  std::thread checkpointer([&] { first = db_->Checkpoint(); });
+  WaitForClosedCheckpointGate(db_->txns());
+  EXPECT_EQ(admitted->value(), admitted0 + 1);
+
+  // A second checkpoint of the same database is shed, retryably...
+  Status second = db_->Checkpoint();
+  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted)
+      << second.ToString();
+  EXPECT_NE(second.message().find("retry"), std::string::npos);
+  EXPECT_EQ(rejected->value(), rejected0 + 1);
+
+  // ...while another database checkpoints at once: admission is per
+  // database, not per process.
+  DatabaseOptions other;
+  other.path = base_ + "_b.sedna";
+  other.wal_path = base_ + "_b.wal";
+  auto b = Database::Create(other);
+  EXPECT_TRUE(b.ok()) << b.status().ToString();
+  if (b.ok()) {
+    Status b_st = (*b)->Checkpoint();
+    EXPECT_TRUE(b_st.ok()) << b_st.ToString();
+  }
+
+  // A's checkpoint completes once the transaction commits.
+  EXPECT_TRUE(writer->Commit().ok());
+  checkpointer.join();
+  EXPECT_TRUE(first.ok()) << first.ToString();
   EXPECT_TRUE(db_->Checkpoint().ok());
+}
+
+TEST_F(DatabaseTest, CheckpointGateHonoursTheBeginDeadline) {
+  TransactionManager* txns = db_->txns();
+  auto updater = txns->Begin(/*read_only=*/false);
+  ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+  Status checkpoint = Status::Internal("never ran");
+  std::thread checkpointer([&] { checkpoint = txns->Checkpoint(); });
+  WaitForClosedCheckpointGate(txns);
+
+  // A new updater waits at the closed gate until its own deadline, then
+  // fails with it, and is never counted by the drain.
+  const uint64_t updaters = txns->active_updaters();
+  QueryContext query;
+  query.set_deadline_after(50ms);
+  auto start = std::chrono::steady_clock::now();
+  auto gated = txns->Begin(/*read_only=*/false, &query);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(gated.status().code(), StatusCode::kDeadlineExceeded)
+      << gated.status().ToString();
+  EXPECT_GE(elapsed, 40ms);
+  EXPECT_LT(elapsed, 1000ms);
+  EXPECT_EQ(txns->active_updaters(), updaters);
+
+  EXPECT_TRUE(txns->Commit(updater->get()).ok());
+  checkpointer.join();
+  EXPECT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+}
+
+TEST_F(DatabaseTest, CheckpointDrainCancelReopensTheGate) {
+  TransactionManager* txns = db_->txns();
+  auto updater = txns->Begin(/*read_only=*/false);
+  ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+  QueryContext query;
+  Status checkpoint = Status::Internal("never ran");
+  std::thread checkpointer([&] { checkpoint = txns->Checkpoint(&query); });
+  WaitForClosedCheckpointGate(txns);
+
+  query.Cancel();
+  checkpointer.join();
+  EXPECT_EQ(checkpoint.code(), StatusCode::kCancelled) << checkpoint.ToString();
+
+  // The cancelled drain reopened the gate, so the next updater begins at
+  // once: even an already expired deadline does not stop it.
+  QueryContext expired;
+  expired.set_deadline(std::chrono::steady_clock::now());
+  auto next = txns->Begin(/*read_only=*/false, &expired);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(txns->Commit(next->get()).ok());
+  EXPECT_TRUE(txns->Commit(updater->get()).ok());
+  EXPECT_EQ(txns->active_updaters(), 0u);
 }
 
 TEST_F(DatabaseTest, GovernorRejectsOnFullWhenQueueDisabled) {

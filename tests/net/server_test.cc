@@ -397,6 +397,66 @@ TEST_F(ServerTest, WriteStallTimeoutDoomsANonReadingClient) {
   EXPECT_EQ(MustExec(client.get(), "count(doc('big')/r/item)"), "30000");
 }
 
+TEST_F(ServerTest, DeadlineCutsAStatementBlockedOnFlowControl) {
+  ServerOptions options;
+  options.result_chunk_bytes = 512;
+  options.write_buffer_soft_cap = 2048;
+  options.write_stall_timeout = 4000ms;
+  options.so_sndbuf = 4096;  // pin the kernel buffer: no autotune escape
+  StartServer(options);
+
+  auto seeder = db_->Connect();
+  ASSERT_TRUE(seeder->Execute("CREATE DOCUMENT 'big'").ok());
+  std::string tree = "<r>";
+  for (int i = 0; i < 30000; ++i) {
+    tree += "<item><v>" + std::to_string(i) + "</v></item>";
+  }
+  tree += "</r>";
+  ASSERT_TRUE(
+      seeder->Execute("UPDATE insert " + tree + " into doc('big')").ok());
+
+  RawConn raw = RawConn::Open(server_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(raw.ok());
+  std::string wire;
+  AppendFrame(&wire, MessageType::kHello, EncodeHello());
+  AppendFrame(&wire, MessageType::kSetOption,
+              EncodeSetOption("timeout_ms", "200"));
+  AppendFrame(&wire, MessageType::kExecute, "doc('big')/r/item");
+  raw.Send(wire);
+
+  // Never read while the statement runs. It fills the soft cap and blocks
+  // on flow control; its 200 ms deadline, not the 4 s stall guard, ends it.
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->inflight_statements() == 1; }));
+  EXPECT_TRUE(WaitFor([&] { return server_->inflight_statements() == 0; },
+                      1500ms));
+  // The connection survives: the statement failed, the client did not.
+  EXPECT_EQ(server_->active_connections(), 1u);
+
+  // Once read, the reply is a (truncated) result stream that ends in the
+  // statement's own deadline error.
+  std::string got = raw.ReadUntilClosed(1000ms);
+  std::vector<Frame> frames;
+  for (std::string_view rest = got;;) {
+    Frame frame;
+    size_t consumed = 0;
+    Status error;
+    if (DecodeFrame(rest, &frame, &consumed, &error) != DecodeResult::kFrame) {
+      break;
+    }
+    frames.push_back(std::move(frame));
+    rest.remove_prefix(consumed);
+  }
+  ASSERT_GE(frames.size(), 4u);
+  EXPECT_EQ(frames[0].type, MessageType::kHelloOk);
+  EXPECT_EQ(frames[1].type, MessageType::kOptionOk);
+  EXPECT_EQ(frames[2].type, MessageType::kResultChunk);
+  ASSERT_EQ(frames.back().type, MessageType::kError);
+  EXPECT_EQ(DecodeError(frames.back().payload).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(PinnedFrames(), 0u);
+}
+
 TEST_F(ServerTest, ExactPayloadCapIsAcceptedCleanly) {
   StartServer();
   auto seeder = db_->Connect();
