@@ -37,7 +37,7 @@ Throughput RunMode(bool snapshot_readers, int reader_threads,
   const uint64_t snapshot_reads0 = snapshot_reads->value();
   auto db =
       bench::MakeDatabase(snapshot_readers ? "e9_snap" : "e9_s2pl",
-                          /*enable_mvcc=*/true, /*enable_wal=*/false);
+                          /*enable_wal=*/false);
   {
     auto setup = db->Connect();
     auto r = setup->Execute("CREATE DOCUMENT 'd'");

@@ -54,14 +54,12 @@ struct EngineFixture {
   }
 };
 
-/// Fresh full database (MVCC + WAL).
+/// Fresh full database (MVCC, and the WAL unless `enable_wal` is false).
 inline std::unique_ptr<Database> MakeDatabase(const std::string& tag,
-                                              bool enable_mvcc = true,
                                               bool enable_wal = true) {
   DatabaseOptions options;
   options.path = TempPath(tag) + ".sedna";
   options.wal_path = TempPath(tag) + ".wal";
-  options.enable_mvcc = enable_mvcc;
   options.enable_wal = enable_wal;
   std::remove(options.path.c_str());
   std::remove(options.wal_path.c_str());

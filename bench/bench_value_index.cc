@@ -172,8 +172,11 @@ BENCHMARK(BM_BtreeRangeScan);
 // must. A probe after each cycle keeps the tree honest.
 void BM_IncrementalMaintenance(benchmark::State& state) {
   auto& f = Fixture();
-  const uint64_t rebuilds_before = f.indexes->rebuilds();
-  const uint64_t maintenance_before = f.indexes->maintenance_ops();
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* rebuilds = reg.counter("index.rebuilds");
+  Counter* maintenance_ops = reg.counter("index.maintenance_ops");
+  const uint64_t rebuilds_before = rebuilds->value();
+  const uint64_t maintenance_before = maintenance_ops->value();
   int tick = 0;
   for (auto _ : state) {
     std::string name = "bench-maint-" + std::to_string(tick++);
@@ -191,11 +194,11 @@ void BM_IncrementalMaintenance(benchmark::State& state) {
         "UPDATE delete doc('bench')//item[name = '" + name + "']", f.ctx);
     SEDNA_CHECK(del.ok()) << del.status().ToString();
   }
-  SEDNA_CHECK(f.indexes->rebuilds() == rebuilds_before)
+  SEDNA_CHECK(rebuilds->value() == rebuilds_before)
       << "incremental maintenance fell back to a rebuild";
   state.counters["maintenance_ops"] =
-      static_cast<double>(f.indexes->maintenance_ops() - maintenance_before);
-  state.counters["rebuilds"] = static_cast<double>(f.indexes->rebuilds());
+      static_cast<double>(maintenance_ops->value() - maintenance_before);
+  state.counters["rebuilds"] = static_cast<double>(rebuilds->value());
 }
 BENCHMARK(BM_IncrementalMaintenance);
 

@@ -64,19 +64,17 @@ Status Database::Init(const DatabaseOptions& options, bool create) {
   Vfs* vfs = options.vfs != nullptr ? options.vfs : Vfs::Default();
 
   StorageHooks hooks;
-  if (options.enable_mvcc) {
-    hooks.resolver_factory = [this](FileManager* file,
-                                    SimplePageDirectory* directory)
-        -> std::unique_ptr<PageResolver> {
-      auto vm = std::make_unique<VersionManager>(file, directory);
-      versions_ = vm.get();
-      return vm;
-    };
-    hooks.allocator_factory =
-        [this](SimplePageDirectory* directory) -> std::unique_ptr<PageAllocator> {
-      return std::make_unique<TrackingAllocator>(directory, versions_);
-    };
-  }
+  hooks.resolver_factory = [this](FileManager* file,
+                                  SimplePageDirectory* directory)
+      -> std::unique_ptr<PageResolver> {
+    auto vm = std::make_unique<VersionManager>(file, directory);
+    versions_ = vm.get();
+    return vm;
+  };
+  hooks.allocator_factory =
+      [this](SimplePageDirectory* directory) -> std::unique_ptr<PageAllocator> {
+    return std::make_unique<TrackingAllocator>(directory, versions_);
+  };
 
   StorageOptions storage_options;
   storage_options.path = options.path;
@@ -92,9 +90,7 @@ Status Database::Init(const DatabaseOptions& options, bool create) {
     SEDNA_ASSIGN_OR_RETURN(storage_,
                            StorageEngine::Open(storage_options, hooks));
   }
-  if (versions_ != nullptr) {
-    versions_->BindBuffers(storage_->buffers());
-  }
+  versions_->BindBuffers(storage_->buffers());
   indexes_ = std::make_unique<ValueIndexManager>(storage_.get());
 
   if (!create && options.enable_wal) {
@@ -186,13 +182,9 @@ Status Database::Checkpoint() {
 }
 
 Status Database::CheckConsistency() {
-  SEDNA_RETURN_IF_ERROR(storage_->CheckConsistency());
-  // Walk every clean persistent index: B+tree structure plus resolution of
-  // each stored handle through its document's indirection table.
-  if (indexes_ != nullptr) {
-    SEDNA_RETURN_IF_ERROR(indexes_->Validate(OpCtx::System()));
-  }
-  return Status::OK();
+  // Each document's sweep covers its index trees: B+tree structure plus
+  // resolution of every stored handle through its indirection table.
+  return storage_->CheckConsistency();
 }
 
 Status Database::FullBackup(const std::string& dir) {
@@ -404,11 +396,6 @@ void Governor::set_max_concurrent_statements(uint32_t n) {
   if (!admit_queue_.empty()) admit_cv_.notify_all();
 }
 
-uint32_t Governor::max_concurrent_statements() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_concurrent_statements_;
-}
-
 uint32_t Governor::active_statements() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_statements_;
@@ -417,11 +404,6 @@ uint32_t Governor::active_statements() const {
 void Governor::set_max_queued_statements(uint32_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   max_queued_statements_ = n;
-}
-
-uint32_t Governor::max_queued_statements() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_queued_statements_;
 }
 
 uint32_t Governor::queued_statements() const {

@@ -37,7 +37,6 @@ struct DatabaseOptions {
   std::string wal_path;   // write-ahead log base ("" = derive from path);
                           // segments live at <base>.seg-<start LSN>
   size_t buffer_frames = 1024;
-  bool enable_mvcc = true;   // page-level multiversioning (Section 6.1)
   bool enable_wal = true;    // durability (Section 6.4)
   uint64_t wal_segment_bytes = 8ull * 1024 * 1024;  // rotation threshold
   Vfs* vfs = nullptr;        // null = Vfs::Default(); tests inject faults here
@@ -87,9 +86,10 @@ class Database {
   Status Checkpoint();
 
   /// Deep offline-style consistency sweep (CHECK DATABASE): validates every
-  /// document's page chains, slot chains and indirection cross-references.
-  /// Intended to run while no update transactions are active (e.g. right
-  /// after recovery); reads the latest committed version of each page.
+  /// document's page chains, slot chains, indirection cross-references and
+  /// index trees. Intended to run while no update transactions are active
+  /// (e.g. right after recovery); reads the latest committed version of
+  /// each page.
   Status CheckConsistency();
 
   /// Hot backups (Section 6.5).
@@ -100,7 +100,6 @@ class Database {
 
   StorageEngine* storage() { return storage_.get(); }
   TransactionManager* txns() { return txns_.get(); }
-  VersionManager* versions() { return versions_; }
   ValueIndexManager* indexes() { return indexes_.get(); }
   const DatabaseOptions& options() const { return options_; }
   uint64_t recovered_statements() const { return recovered_statements_; }
@@ -310,7 +309,6 @@ class Governor {
   /// Caps concurrently executing statements process-wide. 0 (default) =
   /// unlimited.
   void set_max_concurrent_statements(uint32_t n);
-  uint32_t max_concurrent_statements() const;
   uint32_t active_statements() const;
 
   /// Statements allowed to QUEUE (bounded FIFO) when the concurrency cap is
@@ -319,7 +317,6 @@ class Governor {
   /// client statements waits its turn (backpressure) rather than raining
   /// retryable errors on every client.
   void set_max_queued_statements(uint32_t n);
-  uint32_t max_queued_statements() const;
   uint32_t queued_statements() const;
 
   /// Admits one statement. When the concurrency cap is reached: with the

@@ -141,10 +141,6 @@ class NetClient {
   /// callers that want to pay the reconnect cost eagerly.)
   Status Reconnect();
 
-  void set_read_timeout(std::chrono::milliseconds t) {
-    options_.read_timeout = t;
-  }
-
   bool connected() const;
   /// True after a transport failure until the next successful reconnect.
   bool poisoned() const { return poisoned_; }

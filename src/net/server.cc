@@ -622,12 +622,14 @@ void Server::SweepIdle(std::chrono::steady_clock::time_point now) {
       metrics_->idle_closed->Add();
       CloseConn(c);
     } else if (abort_txn) {
+      // Counted first: a watcher that sees the transaction gone must also
+      // see it counted.
+      metrics_->txn_idle_aborts->Add();
       Status st = c->session->Abort();
       if (!st.ok()) {
         SEDNA_LOG(kError) << "idle-transaction abort failed: "
                           << st.ToString();
       }
-      metrics_->txn_idle_aborts->Add();
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "storage/btree_index.h"
 
 namespace sedna {
 
@@ -124,6 +125,9 @@ uint64_t DocumentStore::node_count() const {
 }
 
 Status DocumentStore::Drop(const OpCtx& ctx) {
+  for (const IndexDefinition& def : indexes()) {
+    SEDNA_RETURN_IF_ERROR(DropIndex(ctx, def.name));
+  }
   // Free all node blocks of every schema node.
   for (size_t i = 0; i < schema_.size(); ++i) {
     const SchemaNode* sn = schema_.node(static_cast<uint32_t>(i));
@@ -141,6 +145,43 @@ Status DocumentStore::Drop(const OpCtx& ctx) {
   SEDNA_RETURN_IF_ERROR(text_.FreeAll(ctx));
   SEDNA_RETURN_IF_ERROR(indirection_.FreeAll(ctx));
   root_handle_ = kNullXptr;
+  return Status::OK();
+}
+
+std::vector<IndexDefinition> DocumentStore::indexes() const {
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  return indexes_;
+}
+
+std::optional<IndexDefinition> DocumentStore::FindIndex(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  for (const IndexDefinition& def : indexes_) {
+    if (def.name == name) return def;
+  }
+  return std::nullopt;
+}
+
+void DocumentStore::PutIndex(IndexDefinition def) {
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  for (IndexDefinition& existing : indexes_) {
+    if (existing.name == def.name) {
+      existing = std::move(def);
+      return;
+    }
+  }
+  indexes_.push_back(std::move(def));
+}
+
+Status DocumentStore::DropIndex(const OpCtx& ctx, const std::string& name) {
+  std::optional<IndexDefinition> def = FindIndex(name);
+  if (!def.has_value()) {
+    return Status::NotFound("index '" + name + "' does not exist");
+  }
+  SEDNA_RETURN_IF_ERROR(BtreeIndex(env_, def->meta).Destroy(ctx));
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  std::erase_if(indexes_,
+                [&](const IndexDefinition& d) { return d.name == name; });
   return Status::OK();
 }
 
@@ -404,39 +445,96 @@ Status DocumentStore::Validate(const OpCtx& ctx) const {
     return ValidationError(name_, "root handle " + root_handle_.ToString() +
                                       " lies outside the indirection pages");
   }
+
+  // --- Value indexes ------------------------------------------------------
+  // Every tree is structurally sound and every entry's handle resolves
+  // through this document's indirection table.
+  for (const IndexDefinition& def : indexes()) {
+    BtreeIndex tree(env_, def.meta);
+    SEDNA_RETURN_IF_ERROR(tree.Validate(ctx));
+    std::vector<std::pair<std::string, Xptr>> entries;
+    SEDNA_RETURN_IF_ERROR(tree.ScanAll(ctx, &entries));
+    for (const auto& [key, handle] : entries) {
+      Status resolved = indirection_.Get(ctx, handle).status();
+      if (!resolved.ok()) {
+        return ValidationError(name_, "index '" + def.name +
+                                          "' entry handle does not resolve: " +
+                                          resolved.message());
+      }
+    }
+  }
   return Status::OK();
+}
+
+void DocumentStore::PutStorageMeta(std::string* blob) const {
+  PutLengthPrefixed(blob, name_);
+  PutFixed32(blob, doc_id_);
+  PutFixed64(blob, root_handle_.raw);
+  PutFixed64(blob, text_.head().raw);
+  PutFixed64(blob, text_.fill_page().raw);
+  PutFixed64(blob, indirection_.head().raw);
+  PutFixed64(blob, indirection_.free_head().raw);
+  PutLengthPrefixed(blob, schema_.Serialize());
 }
 
 std::string DocumentStore::SerializeMeta() const {
   std::string blob;
-  PutLengthPrefixed(&blob, name_);
-  PutFixed32(&blob, doc_id_);
-  PutFixed64(&blob, root_handle_.raw);
-  PutFixed64(&blob, text_.head().raw);
-  PutFixed64(&blob, text_.fill_page().raw);
-  PutFixed64(&blob, indirection_.head().raw);
-  PutFixed64(&blob, indirection_.free_head().raw);
-  PutLengthPrefixed(&blob, schema_.Serialize());
+  PutStorageMeta(&blob);
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  PutVarint64(&blob, indexes_.size());
+  for (const IndexDefinition& def : indexes_) {
+    PutLengthPrefixed(&blob, def.name);
+    PutLengthPrefixed(&blob, def.path);
+    PutFixed64(&blob, def.meta.raw);
+  }
   return blob;
 }
 
 Status DocumentStore::RestoreMeta(const std::string& blob) {
   Decoder d(blob);
   std::string_view name;
+  uint32_t doc_id = 0;
   uint64_t root = 0, text_head = 0, text_fill = 0, ind_head = 0,
            ind_free = 0;
   std::string_view schema_blob;
-  if (!d.GetLengthPrefixed(&name) || !d.GetFixed32(&doc_id_) ||
+  if (!d.GetLengthPrefixed(&name) || !d.GetFixed32(&doc_id) ||
       !d.GetFixed64(&root) || !d.GetFixed64(&text_head) ||
       !d.GetFixed64(&text_fill) || !d.GetFixed64(&ind_head) ||
       !d.GetFixed64(&ind_free) || !d.GetLengthPrefixed(&schema_blob)) {
     return Status::Corruption("bad document meta blob");
   }
-  name_ = std::string(name);
-  root_handle_ = Xptr(root);
-  text_.Restore(Xptr(text_head), Xptr(text_fill));
-  indirection_.Restore(Xptr(ind_head), Xptr(ind_free));
-  return schema_.Deserialize(std::string(schema_blob));
+  const std::string_view storage_meta(blob.data(), blob.size() - d.remaining());
+  std::vector<IndexDefinition> indexes;
+  uint64_t index_count = 0;
+  if (!d.GetVarint64(&index_count)) {
+    return Status::Corruption("bad document meta blob");
+  }
+  for (uint64_t i = 0; i < index_count; ++i) {
+    std::string_view index_name, path;
+    uint64_t meta = 0;
+    if (!d.GetLengthPrefixed(&index_name) || !d.GetLengthPrefixed(&path) ||
+        !d.GetFixed64(&meta)) {
+      return Status::Corruption("truncated index definitions");
+    }
+    indexes.push_back(
+        {std::string(index_name), std::string(path), Xptr(meta)});
+  }
+  // Abort restores the metadata of a document that snapshot readers walk
+  // without a lock. Only a storage part that differs is written back, so
+  // rolling back index DDL leaves the schema and heads they read in place.
+  std::string current;
+  PutStorageMeta(&current);
+  if (storage_meta != current) {
+    name_ = std::string(name);
+    doc_id_ = doc_id;
+    root_handle_ = Xptr(root);
+    text_.Restore(Xptr(text_head), Xptr(text_fill));
+    indirection_.Restore(Xptr(ind_head), Xptr(ind_free));
+    SEDNA_RETURN_IF_ERROR(schema_.Deserialize(std::string(schema_blob)));
+  }
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  indexes_ = std::move(indexes);
+  return Status::OK();
 }
 
 }  // namespace sedna

@@ -7,7 +7,9 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/indirection.h"
@@ -19,6 +21,16 @@
 #include "xml/xml_tree.h"
 
 namespace sedna {
+
+/// One value index over a document (paper §4.1.2: index entries are node
+/// handles). The definition is part of the document's metadata, so abort,
+/// DROP DOCUMENT, checkpoint and reopen carry it with the rest of the
+/// document.
+struct IndexDefinition {
+  std::string name;
+  std::string path;  // statement text of the defining path
+  Xptr meta;         // meta page of the index's B+tree
+};
 
 class DocumentStore {
  public:
@@ -60,18 +72,38 @@ class DocumentStore {
   /// Total stored nodes (excluding the document node itself).
   uint64_t node_count() const;
 
-  /// Frees every page owned by this document.
+  /// Frees every page owned by this document, index trees included.
   Status Drop(const OpCtx& ctx);
+
+  // --- value-index definitions -----------------------------------------------
+  // Changed only by a statement holding the document's exclusive lock.
+  // Snapshot readers take no document lock, so the list has a mutex of its
+  // own (like the path summary's).
+
+  /// The current definitions, in creation order.
+  std::vector<IndexDefinition> indexes() const;
+
+  /// The definition named `name`, if this document holds it.
+  std::optional<IndexDefinition> FindIndex(const std::string& name) const;
+
+  /// Adds `def`, or replaces the definition of the same name.
+  void PutIndex(IndexDefinition def);
+
+  /// Frees the B+tree of index `name` and removes its definition
+  /// (kNotFound when this document has no such index).
+  Status DropIndex(const OpCtx& ctx, const std::string& name);
 
   /// Deep consistency check: walks the indirection page chain and free
   /// list, every schema node's block chain (headers, slot chains, free
   /// slots) and cross-checks each live descriptor's handle against the
   /// indirection table. Returns kCorruption with a diagnostic naming the
-  /// first inconsistent page. Used by crash-recovery tests and Database
-  /// consistency checks; cost is linear in document size.
+  /// first inconsistent page. Also walks every index tree and resolves each
+  /// entry's handle. Used by crash-recovery tests and Database consistency
+  /// checks; cost is linear in document size.
   Status Validate(const OpCtx& ctx) const;
 
-  /// Catalog (de)serialization.
+  /// Catalog (de)serialization; the index definitions follow the storage
+  /// metadata.
   std::string SerializeMeta() const;
   Status RestoreMeta(const std::string& blob);
 
@@ -81,6 +113,8 @@ class DocumentStore {
   void RegisterSchema(const XmlNode& node, SchemaNode* sn);
   StatusOr<std::unique_ptr<XmlNode>> MaterializeAt(const OpCtx& ctx,
                                                    Xptr addr) const;
+  /// The storage part of SerializeMeta: names, heads and schema.
+  void PutStorageMeta(std::string* blob) const;
 
   StorageEnv* env_;
   uint32_t doc_id_;
@@ -92,6 +126,8 @@ class DocumentStore {
   Xptr root_handle_;
   mutable std::mutex summary_mu_;
   mutable std::unique_ptr<PathSummary> summary_;
+  mutable std::mutex indexes_mu_;
+  std::vector<IndexDefinition> indexes_;  // guarded by indexes_mu_
 };
 
 }  // namespace sedna

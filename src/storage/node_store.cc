@@ -68,13 +68,6 @@ Status NodeStore::WriteLabel(const OpCtx& ctx, NodeDescriptor* d,
   return Status::OK();
 }
 
-Status NodeStore::FreeLabel(const OpCtx& ctx, const NodeDescriptor* d) {
-  if (d->has_overflow_label()) {
-    return text_->Delete(ctx, OverflowRef(d));
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
@@ -189,24 +182,6 @@ StatusOr<Xptr> NodeStore::NextSameSchema(const OpCtx& ctx, Xptr addr) const {
   const BlockHeader* nh = HeaderOf(next_guard.data());
   if (nh->first_slot == kNoSlot) return kNullXptr;
   return DescriptorXptr(next_block, nh->first_slot, nh->desc_size);
-}
-
-StatusOr<Xptr> NodeStore::PrevSameSchema(const OpCtx& ctx, Xptr addr) const {
-  SEDNA_ASSIGN_OR_RETURN(PageGuard guard, env_->Read(addr.PageBase(), ctx));
-  const uint8_t* page = guard.data();
-  const BlockHeader* h = HeaderOf(page);
-  const NodeDescriptor* d =
-      reinterpret_cast<const NodeDescriptor*>(page + addr.PageOffset());
-  if (d->prev_in_block != kNoSlot) {
-    return DescriptorXptr(addr.PageBase(), d->prev_in_block, h->desc_size);
-  }
-  Xptr prev_block = h->prev_block;
-  guard.Release();
-  if (!prev_block) return kNullXptr;
-  SEDNA_ASSIGN_OR_RETURN(PageGuard prev_guard, env_->Read(prev_block, ctx));
-  const BlockHeader* ph = HeaderOf(prev_guard.data());
-  if (ph->last_slot == kNoSlot) return kNullXptr;
-  return DescriptorXptr(prev_block, ph->last_slot, ph->desc_size);
 }
 
 StatusOr<Xptr> NodeStore::ChildSlot(const OpCtx& ctx, Xptr elem,

@@ -76,7 +76,6 @@ class NodeStore {
   /// Successor of `addr` within its schema-node chain (document order),
   /// crossing block boundaries; null at the end.
   StatusOr<Xptr> NextSameSchema(const OpCtx& ctx, Xptr addr) const;
-  StatusOr<Xptr> PrevSameSchema(const OpCtx& ctx, Xptr addr) const;
 
   /// Direct pointer in child slot `slot` of element `elem` (null if the
   /// block's arity does not cover `slot` or the slot is empty). The pointer
@@ -166,7 +165,6 @@ class NodeStore {
                                const NodeDescriptor* d) const;
   Status WriteLabel(const OpCtx& ctx, NodeDescriptor* d,
                     const NidLabel& label);
-  Status FreeLabel(const OpCtx& ctx, const NodeDescriptor* d);
 
   /// Finds the block and in-chain predecessor for a new label.
   StatusOr<ChainPos> FindPosition(const OpCtx& ctx, SchemaNode* sn,

@@ -146,13 +146,6 @@ std::string StorageEngine::SerializeCatalog() const {
   for (const auto& [name, doc] : documents_) {
     PutLengthPrefixed(&blob, doc->SerializeMeta());
   }
-  PutVarint64(&blob, index_defs_.size());
-  for (const auto& [name, def] : index_defs_) {
-    PutLengthPrefixed(&blob, name);
-    PutLengthPrefixed(&blob, def.doc);
-    PutLengthPrefixed(&blob, def.path);
-    PutFixed64(&blob, def.meta);
-  }
   return blob;
 }
 
@@ -172,20 +165,6 @@ Status StorageEngine::RestoreCatalog(const std::string& blob) {
     SEDNA_RETURN_IF_ERROR(doc->RestoreMeta(std::string(meta)));
     std::string name = doc->name();
     documents_[name] = std::move(doc);
-  }
-  index_defs_.clear();
-  uint64_t index_count = 0;
-  if (d.GetVarint64(&index_count)) {
-    for (uint64_t i = 0; i < index_count; ++i) {
-      std::string_view name, doc, path;
-      uint64_t meta = 0;
-      if (!d.GetLengthPrefixed(&name) || !d.GetLengthPrefixed(&doc) ||
-          !d.GetLengthPrefixed(&path) || !d.GetFixed64(&meta)) {
-        return Status::Corruption("truncated index definitions");
-      }
-      index_defs_[std::string(name)] = {std::string(doc), std::string(path),
-                                        meta};
-    }
   }
   return Status::OK();
 }

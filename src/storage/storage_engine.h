@@ -66,7 +66,7 @@ class StorageEngine {
 
   // --- transactional rollback support ---------------------------------------
   // The transaction layer snapshots a document's in-memory metadata (schema,
-  // block-list heads, text/indirection state, catalog entry) when the
+  // block-list heads, text/indirection state, index definitions) when the
   // document is first locked exclusively, and restores it on abort. Pages
   // themselves are rolled back by the version manager.
 
@@ -80,33 +80,6 @@ class StorageEngine {
 
   /// Removes the catalog entry only (used to roll back CREATE DOCUMENT).
   Status RemoveDocumentEntry(const std::string& name);
-
-  // --- value-index definitions -----------------------------------------------
-
-  /// Catalog record of one value index. `meta` is the raw Xptr of the
-  /// index's B+tree meta page; 0 means the index has no persistent tree yet
-  /// (it will be built lazily by the query layer).
-  struct IndexDefRecord {
-    std::string doc;
-    std::string path;
-    uint64_t meta = 0;
-  };
-
-  /// name -> definition. Persisted in the catalog at checkpoint.
-  const std::map<std::string, IndexDefRecord>& index_definitions() const {
-    return index_defs_;
-  }
-  void SetIndexDefinition(const std::string& name, const std::string& doc,
-                          const std::string& path, uint64_t meta) {
-    index_defs_[name] = {doc, path, meta};
-  }
-  void SetIndexMeta(const std::string& name, uint64_t meta) {
-    auto it = index_defs_.find(name);
-    if (it != index_defs_.end()) it->second.meta = meta;
-  }
-  void RemoveIndexDefinition(const std::string& name) {
-    index_defs_.erase(name);
-  }
 
   // --- durability -------------------------------------------------------------
 
@@ -143,7 +116,6 @@ class StorageEngine {
   StorageEnv env_;
 
   std::map<std::string, std::unique_ptr<DocumentStore>> documents_;
-  std::map<std::string, IndexDefRecord> index_defs_;
   uint32_t next_doc_id_ = 1;
 };
 

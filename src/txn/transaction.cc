@@ -69,11 +69,9 @@ TransactionManager::TransactionManager(StorageEngine* storage,
   uint64_t start_ts = storage_->file()->master().next_timestamp;
   clock_.store(start_ts);
   last_commit_ts_.store(start_ts);
-  if (versions_ != nullptr) {
-    // The on-disk state at open time is the persistent snapshot.
-    Status st = versions_->SetPersistentSnapshot(start_ts);
-    SEDNA_CHECK(st.ok()) << st.ToString();
-  }
+  // The on-disk state at open time is the persistent snapshot.
+  Status st = versions_->SetPersistentSnapshot(start_ts);
+  SEDNA_CHECK(st.ok()) << st.ToString();
 }
 
 StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
@@ -96,9 +94,7 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
   std::unique_lock<std::mutex> publish_lock(publish_mu_, std::defer_lock);
   if (read_only) publish_lock.lock();
   uint64_t snapshot = last_commit_ts_.load();
-  if (versions_ != nullptr) {
-    versions_->BeginTxn(id, read_only, snapshot);
-  }
+  versions_->BeginTxn(id, read_only, snapshot);
   if (read_only) publish_lock.unlock();
   std::unique_ptr<Transaction> txn(
       new Transaction(this, id, read_only, snapshot));
@@ -140,10 +136,8 @@ Status TransactionManager::RollbackWork(Transaction* txn) {
                           << ": " << st.ToString();
     }
   }
-  if (versions_ != nullptr) {
-    Status st = versions_->AbortTxn(txn->id_);
-    if (!st.ok() && first.ok()) first = st;
-  }
+  Status st = versions_->AbortTxn(txn->id_);
+  if (!st.ok() && first.ok()) first = st;
   return first;
 }
 
@@ -177,18 +171,16 @@ Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
       // version publication are one atomic step for snapshot readers.
       std::lock_guard<std::mutex> publish_lock(publish_mu_);
       uint64_t commit_ts = clock_.fetch_add(1) + 1;
-      if (versions_ != nullptr) {
-        Status st = versions_->CommitTxn(txn->id_, commit_ts);
-        if (!st.ok()) {
-          FinishUpdater(txn);
-          locks_.ReleaseAll(txn->id_);
-          return st;
-        }
+      Status st = versions_->CommitTxn(txn->id_, commit_ts);
+      if (!st.ok()) {
+        FinishUpdater(txn);
+        locks_.ReleaseAll(txn->id_);
+        return st;
       }
       last_commit_ts_.store(commit_ts);
     }
     FinishUpdater(txn);
-  } else if (versions_ != nullptr) {
+  } else {
     SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, 0));
   }
   locks_.ReleaseAll(txn->id_);
@@ -241,11 +233,9 @@ Status TransactionManager::Checkpoint(QueryContext* query) {
     master.checkpoint_lsn = checkpoint_lsn;
     storage_->file()->set_master(master);
     SEDNA_RETURN_IF_ERROR(storage_->Checkpoint());
-    if (versions_ != nullptr) {
-      // The freshly flushed state becomes the new persistent snapshot;
-      // pages pinned by the previous one become reclaimable.
-      SEDNA_RETURN_IF_ERROR(versions_->SetPersistentSnapshot(clock_.load()));
-    }
+    // The freshly flushed state becomes the new persistent snapshot; pages
+    // pinned by the previous one become reclaimable.
+    SEDNA_RETURN_IF_ERROR(versions_->SetPersistentSnapshot(clock_.load()));
     if (wal_ != nullptr) {
       SEDNA_RETURN_IF_ERROR(
           wal_->Append(WalRecordType::kCheckpoint, 0, "").status());

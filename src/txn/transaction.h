@@ -138,9 +138,7 @@ class TransactionManager {
   Status WithCheckpointLock(const std::function<Status()>& fn);
 
   LockManager* locks() { return &locks_; }
-  VersionManager* versions() { return versions_; }
   WalWriter* wal() { return wal_; }
-  uint64_t last_commit_ts() const { return last_commit_ts_.load(); }
 
   /// Update transactions currently counted by the checkpoint drain
   /// (observability/tests).

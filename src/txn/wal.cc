@@ -15,6 +15,16 @@ namespace {
 constexpr uint32_t kWalSegmentMagic = 0x5357414c;  // "WALS"
 constexpr uint32_t kWalSegmentVersion = 1;
 
+/// Upper bound on the group-commit gather window. When the previous group
+/// held more than one commit (writers are arriving concurrently), a fresh
+/// leader waits before its fsync so the committers acknowledged by the last
+/// group can catch the next one — otherwise groups alternate between a
+/// batch of one (the leader that found an empty queue) and the pile-up
+/// behind it. The actual wait adapts to the device: half the last measured
+/// fsync, capped here, so a fast device never waits longer than its own
+/// sync.
+constexpr std::chrono::microseconds kGroupCommitGather{200};
+
 // WAL instruments are shared by every WalWriter (and the free recovery
 // functions below), so they live in one lazily-built bundle.
 struct WalMetrics {
@@ -353,10 +363,9 @@ StatusOr<uint64_t> WalWriter::AppendCommitAndSync(uint64_t txn_id,
   // Only gather when the last group proved writers are concurrent, and
   // never longer than half the device's own fsync — a lone committer or a
   // fast device pays (almost) nothing.
-  if (last_group_size_ > 1 && options_.group_commit_gather.count() > 0) {
+  if (last_group_size_ > 1) {
     auto gather = std::min<std::chrono::nanoseconds>(
-        options_.group_commit_gather,
-        std::chrono::nanoseconds(last_fsync_ns_ / 2));
+        kGroupCommitGather, std::chrono::nanoseconds(last_fsync_ns_ / 2));
     if (gather.count() > 0) {
       auto deadline = std::chrono::steady_clock::now() + gather;
       gathering_ = true;

@@ -87,16 +87,6 @@ struct WalWriterOptions {
   /// Rotation threshold: once the active segment holds at least this many
   /// record bytes, the next append seals it and starts a new segment.
   uint64_t segment_bytes = 8ull * 1024 * 1024;
-
-  /// Upper bound on the group-commit gather window. When the previous
-  /// group held more than one commit (writers are arriving concurrently),
-  /// a fresh leader waits before its fsync so the committers acknowledged
-  /// by the last group can catch the next one — otherwise groups alternate
-  /// between a batch of one (the leader that found an empty queue) and the
-  /// pile-up behind it. The actual wait adapts to the device: half the
-  /// last measured fsync, capped here, so a fast device never waits longer
-  /// than its own sync. Zero disables gathering.
-  std::chrono::microseconds group_commit_gather{200};
 };
 
 class WalWriter {

@@ -327,9 +327,8 @@ XmlKind SchemaKindFor(const Step& s) {
   }
 }
 
-/// Lowers AST steps [begin, end) (structural axes only) to path-summary
-/// patterns. Returns false when a step cannot be lowered — never for steps
-/// the rewriter marked schema_resolved.
+}  // namespace
+
 bool LowerSummarySteps(const std::vector<Step>& steps, size_t begin,
                        size_t end, std::vector<SummaryStep>* out) {
   for (size_t i = begin; i < end; ++i) {
@@ -357,6 +356,8 @@ bool LowerSummarySteps(const std::vector<Step>& steps, size_t begin,
   }
   return true;
 }
+
+namespace {
 
 /// Resolves a run of schema-resolved steps to the set of matching schema
 /// nodes, starting from the document's schema root — served by the
@@ -1615,9 +1616,11 @@ class MorselExchangeStream final : public ItemStream {
     pool_ = std::make_unique<MorselPool>(
         morsels, workers,
         [this](size_t worker, size_t morsel, MorselOutput* out) {
-          return RunExchangeMorsel(*state_, pool_->abort_flag(), worker,
-                                   morsel, out);
+          return RunExchangeMorsel(*state_, abort_flag_, worker, morsel, out);
         });
+    // Workers read the flag through this copy, never through pool_: Finish
+    // clears pool_ before the pool's destructor joins them.
+    abort_flag_ = pool_->abort_flag();
     ctx_.Count(&ExecStats::exchange_workers, workers);
     pool_->Start();
   }
@@ -1665,6 +1668,7 @@ class MorselExchangeStream final : public ItemStream {
   ExecContext& ctx_;
   std::unique_ptr<ExchangeState> state_;
   std::unique_ptr<MorselPool> pool_;  // after state_: joins before state dies
+  const std::atomic<bool>* abort_flag_ = nullptr;  // set before Start()
   StreamPtr cur_;
   size_t next_take_ = 0;
   bool finished_ = false;
@@ -1864,7 +1868,7 @@ StatusOr<StreamPtr> TryIndexScan(ExecContext& ctx, DocumentStore* doc,
 
   SEDNA_ASSIGN_OR_RETURN(
       Sequence rows,
-      ctx.indexes->ExecuteIndexScan(ctx.op, plan.name, lit->str_val, ids,
+      ctx.indexes->ExecuteIndexScan(ctx.op, doc, plan, lit->str_val, ids,
                                     hops));
   ctx.Count(&ExecStats::index_scans);
   MemoryReservation reservation(ctx.query);

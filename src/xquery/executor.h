@@ -173,6 +173,12 @@ StatusOr<Sequence> Eval(const Expr& expr, ExecContext& ctx);
 /// eagerly and the result wrapped, which benchmarks use as the baseline.
 StatusOr<StreamPtr> EvalStream(const Expr& expr, ExecContext& ctx);
 
+/// Lowers AST steps [begin, end) (structural axes only; predicates are not
+/// looked at) to path-summary patterns. Returns false when a step cannot be
+/// lowered — never for steps the rewriter marked schema_resolved.
+bool LowerSummarySteps(const std::vector<Step>& steps, size_t begin,
+                       size_t end, std::vector<SummaryStep>* out);
+
 /// Effective boolean value of a sequence.
 StatusOr<bool> EffectiveBooleanValue(const OpCtx& ctx, const Sequence& seq);
 

@@ -109,9 +109,16 @@ StatusOr<Sequence> CallBuiltin(const std::string& name,
     }
     SEDNA_ASSIGN_OR_RETURN(std::string idx, SingleString(ctx.op, args[0]));
     SEDNA_ASSIGN_OR_RETURN(std::string key, SingleString(ctx.op, args[1]));
+    // The index is document state: read it under its document's lock, as
+    // doc() reads the document.
+    SEDNA_ASSIGN_OR_RETURN(std::string doc_name, ctx.indexes->DocumentOf(idx));
+    if (ctx.on_doc_access) {
+      SEDNA_RETURN_IF_ERROR(
+          ctx.on_doc_access(doc_name, ctx.doc_access_exclusive));
+    }
     // Lookup deduplicates into document order itself (the persistent
     // index's contract); no extra DDO pass here.
-    return ctx.indexes->Lookup(ctx.op, idx, key);
+    return ctx.indexes->Lookup(ctx.op, doc_name, idx, key);
   }
   if (name == "doc" && n == 1) {
     SEDNA_ASSIGN_OR_RETURN(std::string doc_name,

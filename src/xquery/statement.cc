@@ -153,10 +153,6 @@ StatementExecutor::StatementExecutor(StorageEngine* storage)
 
 Status StatementExecutor::NotifyUpdate(const std::string& text) {
   // Statement-level WAL: log the statement before its first page mutation.
-  // Index upkeep no longer happens here — update statements bracket each
-  // target mutation with ValueIndexManager::PreUpdate/PostUpdate, which
-  // maintains persistent indexes incrementally and scopes the legacy
-  // dirty-flag fallback to the mutated document.
   if (update_listener_) return update_listener_(text);
   return Status::OK();
 }
@@ -176,7 +172,6 @@ StatusOr<StatementResult> StatementExecutor::Execute(
   if (explain) {
     // EXPLAIN returns the annotated plan tree as the statement's result
     // text (the statement still ran; updates take effect as usual).
-    result.items.clear();
     result.serialized = result.profile_text;
     if (result_sink_) {
       SEDNA_RETURN_IF_ERROR(result_sink_(result.profile_text));
@@ -235,6 +230,12 @@ StatusOr<StatementResult> StatementExecutor::RunParsed(
   StatementResult result;
   result.kind = stmt->kind;
   ctx.stats = &result.stats;
+  // ctx outlives this frame's (and each Run*'s) result: clear the pointer
+  // on every way out.
+  struct ClearStats {
+    ExecContext& ctx;
+    ~ClearStats() { ctx.stats = nullptr; }
+  } clear_stats{ctx};
 
   // Evaluate prolog global variables in declaration order.
   for (const auto& [name, expr] : stmt->prolog.variables) {
@@ -267,10 +268,9 @@ StatusOr<StatementResult> StatementExecutor::RunParsed(
         SEDNA_RETURN_IF_ERROR(ctx.on_doc_access(stmt->doc_name, true));
       }
       SEDNA_RETURN_IF_ERROR(NotifyUpdate(text));
+      // Frees the document's index trees too; their definitions go with
+      // its metadata.
       SEDNA_RETURN_IF_ERROR(storage_->DropDocument(op, stmt->doc_name));
-      if (indexes_ != nullptr) {
-        SEDNA_RETURN_IF_ERROR(indexes_->OnDocumentDropped(op, stmt->doc_name));
-      }
       result.affected = 1;
       return result;
     case StatementKind::kCreateIndex: {
@@ -297,14 +297,22 @@ StatusOr<StatementResult> StatementExecutor::RunParsed(
       result.affected = 1;
       return result;
     }
-    case StatementKind::kDropIndex:
+    case StatementKind::kDropIndex: {
       if (indexes_ == nullptr) {
         return Status::FailedPrecondition("no index manager configured");
       }
+      SEDNA_ASSIGN_OR_RETURN(std::string doc,
+                             indexes_->DocumentOf(stmt->index_name));
+      if (ctx.on_doc_access) {
+        SEDNA_RETURN_IF_ERROR(ctx.on_doc_access(doc, true));
+      }
       SEDNA_RETURN_IF_ERROR(NotifyUpdate(text));
-      SEDNA_RETURN_IF_ERROR(indexes_->Drop(op, stmt->index_name));
+      SEDNA_ASSIGN_OR_RETURN(DocumentStore * store,
+                             storage_->GetDocument(doc));
+      SEDNA_RETURN_IF_ERROR(store->DropIndex(op, stmt->index_name));
       result.affected = 1;
       return result;
+    }
   }
   return Status::Internal("unhandled statement kind");
 }
@@ -320,9 +328,9 @@ StatusOr<StatementResult> StatementExecutor::RunQuery(const Statement& stmt,
   // memory.
   SEDNA_ASSIGN_OR_RETURN(StreamPtr out, EvalStream(*stmt.expr, ctx));
   IncrementalSerializer ser(ctx.op);
-  // Without a sink the result accumulates in memory: charge it against the
-  // statement's budget while it builds (released when the reservation dies
-  // — the caller owns the result from then on).
+  // Without a sink the result text accumulates in memory: charge it against
+  // the statement's budget while it builds (released when the reservation
+  // dies — the caller owns the result from then on).
   MemoryReservation reservation(ctx.query);
   ItemBatch batch;
   Histogram* batch_hist = Metrics().batch_size;
@@ -339,9 +347,8 @@ StatusOr<StatementResult> StatementExecutor::RunQuery(const Statement& stmt,
       } else {
         size_t before = result.serialized.size();
         SEDNA_RETURN_IF_ERROR(ser.Append(item, &result.serialized));
-        SEDNA_RETURN_IF_ERROR(reservation.Grow(
-            ApproxItemBytes(item) + (result.serialized.size() - before)));
-        result.items.push_back(std::move(item));
+        SEDNA_RETURN_IF_ERROR(
+            reservation.Grow(result.serialized.size() - before));
       }
     }
   }
@@ -379,7 +386,8 @@ StatusOr<StatementResult> StatementExecutor::RunInsert(
     }
     ValueIndexManager::PendingMaintenance pending;
     if (indexes_ != nullptr) {
-      indexes_->PreUpdate(ctx.op, target.doc, kNullXptr, anchor, &pending);
+      SEDNA_RETURN_IF_ERROR(indexes_->PreUpdate(ctx.op, target.doc, kNullXptr,
+                                                anchor, &pending));
     }
     std::vector<Xptr> inserted_roots;
     switch (stmt.insert_mode) {
@@ -419,7 +427,8 @@ StatusOr<StatementResult> StatementExecutor::RunInsert(
       }
     }
     if (indexes_ != nullptr) {
-      indexes_->PostUpdate(ctx.op, inserted_roots, &pending);
+      SEDNA_RETURN_IF_ERROR(
+          indexes_->PostUpdate(ctx.op, inserted_roots, &pending));
     }
   }
   return result;
@@ -448,12 +457,14 @@ StatusOr<StatementResult> StatementExecutor::RunDelete(
     // the parent chain's concatenated values shrink, so it re-keys too.
     ValueIndexManager::PendingMaintenance pending;
     if (indexes_ != nullptr) {
-      indexes_->PreUpdate(ctx.op, target.doc, target.handle,
-                          info->parent_handle, &pending);
+      SEDNA_RETURN_IF_ERROR(indexes_->PreUpdate(
+          ctx.op, target.doc, target.handle, info->parent_handle, &pending));
     }
     SEDNA_RETURN_IF_ERROR(
         target.doc->nodes()->DeleteSubtree(ctx.op, target.handle));
-    if (indexes_ != nullptr) indexes_->PostUpdate(ctx.op, {}, &pending);
+    if (indexes_ != nullptr) {
+      SEDNA_RETURN_IF_ERROR(indexes_->PostUpdate(ctx.op, {}, &pending));
+    }
     result.affected++;
   }
   return result;
@@ -487,8 +498,8 @@ StatusOr<StatementResult> StatementExecutor::RunReplace(
     // PostUpdate, and the parent chain re-keys once.
     ValueIndexManager::PendingMaintenance pending;
     if (indexes_ != nullptr) {
-      indexes_->PreUpdate(ctx.op, target.doc, target.handle,
-                          info.parent_handle, &pending);
+      SEDNA_RETURN_IF_ERROR(indexes_->PreUpdate(
+          ctx.op, target.doc, target.handle, info.parent_handle, &pending));
     }
     std::vector<Xptr> inserted_roots;
     Xptr left = target.handle;
@@ -501,7 +512,8 @@ StatusOr<StatementResult> StatementExecutor::RunReplace(
     SEDNA_RETURN_IF_ERROR(
         target.doc->nodes()->DeleteSubtree(ctx.op, target.handle));
     if (indexes_ != nullptr) {
-      indexes_->PostUpdate(ctx.op, inserted_roots, &pending);
+      SEDNA_RETURN_IF_ERROR(
+          indexes_->PostUpdate(ctx.op, inserted_roots, &pending));
     }
     result.affected++;
   }

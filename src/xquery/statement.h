@@ -23,7 +23,6 @@ namespace sedna {
 
 struct StatementResult {
   StatementKind kind = StatementKind::kQuery;
-  Sequence items;          // query results
   std::string serialized;  // serialized query results
   uint64_t affected = 0;   // nodes inserted/deleted/replaced, docs created
   ExecStats stats;
@@ -60,7 +59,7 @@ class StatementExecutor {
 
   /// Incremental result delivery: when set, each query result item is
   /// serialized and handed to the sink as the pull pipeline produces it,
-  /// and StatementResult.items/serialized stay empty — the full result is
+  /// and StatementResult.serialized stays empty — the full result is
   /// never held in memory. A non-OK status from the sink aborts the query.
   void set_result_sink(std::function<Status(std::string_view)> fn) {
     result_sink_ = std::move(fn);

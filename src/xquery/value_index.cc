@@ -39,219 +39,118 @@ Status CollectSubtree(const OpCtx& op, DocumentStore* doc, Xptr root_addr,
   return Status::OK();
 }
 
+/// Lowers a definition path to a path-summary pattern: empty when the path
+/// is not a predicate-free run of child / attribute / descendant steps.
+/// The rewriter has already combined every `//x` into one descendant step.
+std::vector<SummaryStep> LowerDefinition(const std::string& path_text) {
+  StatusOr<ExprPtr> parsed = ParseExpression(path_text);
+  if (!parsed.ok() || !RewriteExpr(parsed->get(), nullptr).ok()) return {};
+  const Expr& path = **parsed;
+  if (path.kind != ExprKind::kPath || path.str_val == "filter") return {};
+  for (const Step& step : path.steps) {
+    if (!step.predicates.empty()) return {};
+  }
+  std::vector<SummaryStep> steps;
+  if (!LowerSummarySteps(path.steps, 0, path.steps.size(), &steps)) return {};
+  return steps;
+}
+
 }  // namespace
 
 ValueIndexManager::ValueIndexManager(StorageEngine* storage)
-    : storage_(storage) {
-  for (const auto& [name, def] : storage_->index_definitions()) {
-    Index index;
-    index.name = name;
-    index.doc = def.doc;
-    index.path = def.path;
-    index.meta = Xptr(def.meta);
-    // A tree persisted by the last checkpoint reopens clean — no rebuild.
-    index.dirty = !index.meta;
-    LowerDefinition(&index);
-    indexes_[name] = std::move(index);
-  }
-}
+    : storage_(storage),
+      rebuilds_(MetricsRegistry::Global().counter("index.rebuilds")),
+      maintenance_ops_(
+          MetricsRegistry::Global().counter("index.maintenance_ops")) {}
 
-void ValueIndexManager::LowerDefinition(Index* index) {
-  index->structural = false;
-  index->steps.clear();
-  StatusOr<ExprPtr> parsed = ParseExpression(index->path);
-  if (!parsed.ok()) return;
-  if (!RewriteExpr(parsed->get(), nullptr).ok()) return;
-  const Expr& path = **parsed;
-  if (path.kind != ExprKind::kPath || path.steps.empty()) return;
-  std::vector<SummaryStep> steps;
-  for (size_t i = 0; i < path.steps.size(); ++i) {
-    const Step& s = path.steps[i];
-    if (!s.predicates.empty()) return;
-    SummaryStep out;
-    Axis axis = s.axis;
-    const NodeTest* test = &s.test;
-    if (axis == Axis::kDescendantOrSelf &&
-        s.test.kind == NodeTest::Kind::kAnyNode) {
-      // Uncombined '//' encoding: fold into a descendant step over the
-      // following child step's test.
-      if (i + 1 >= path.steps.size()) return;
-      const Step& next = path.steps[i + 1];
-      if (next.axis != Axis::kChild || !next.predicates.empty()) return;
-      axis = Axis::kDescendant;
-      test = &next.test;
-      i++;
-    }
-    switch (axis) {
-      case Axis::kChild:
-        out.axis = SummaryStep::Axis::kChild;
-        break;
-      case Axis::kDescendant:
-        out.axis = SummaryStep::Axis::kDescendant;
-        break;
-      case Axis::kAttribute:
-        out.axis = SummaryStep::Axis::kAttribute;
-        break;
-      default:
-        return;  // not structural
-    }
-    switch (test->kind) {
-      case NodeTest::Kind::kName:
-        out.kind = XmlKind::kElement;
-        out.name = test->name;
-        break;
-      case NodeTest::Kind::kAnyName:
-        out.kind = XmlKind::kElement;
-        out.name = "*";
-        break;
-      case NodeTest::Kind::kAnyNode:
-        out.any_node = true;
-        out.name = "*";
-        break;
-      case NodeTest::Kind::kText:
-        out.kind = XmlKind::kText;
-        out.name = "";
-        break;
-      case NodeTest::Kind::kComment:
-        out.kind = XmlKind::kComment;
-        out.name = "";
-        break;
-      case NodeTest::Kind::kPi:
-        out.kind = XmlKind::kPi;
-        out.name = test->name;
-        break;
-    }
-    steps.push_back(std::move(out));
+bool ValueIndexManager::Covered(DocumentStore* doc, const IndexDefinition& def,
+                                std::vector<uint32_t>* covered) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Derived& d = derived_[def.name];
+  if (d.path != def.path) {
+    d = Derived{def.path, LowerDefinition(def.path), {}, 0};
   }
-  if (steps.empty()) return;
-  index->steps = std::move(steps);
-  index->structural = true;
-}
-
-Status ValueIndexManager::RefreshCoveredLocked(Index* index,
-                                               DocumentStore* doc) {
-  if (!index->structural) {
-    return Status::FailedPrecondition("index is not structural");
-  }
+  if (d.steps.empty()) return false;
   const uint64_t version = doc->schema()->version();
-  if (index->covered_version == version) return Status::OK();
-  std::vector<SchemaNode*> nodes = doc->summary()->Resolve(index->steps);
-  index->covered.clear();
-  index->covered.reserve(nodes.size());
-  for (const SchemaNode* sn : nodes) index->covered.push_back(sn->id);
-  std::sort(index->covered.begin(), index->covered.end());
-  index->covered_version = version;
-  return Status::OK();
-}
-
-bool ValueIndexManager::Covers(const Index& index, uint32_t schema_id) {
-  return std::binary_search(index.covered.begin(), index.covered.end(),
-                            schema_id);
+  if (d.covered_version != version) {
+    d.covered.clear();
+    for (const SchemaNode* sn : doc->summary()->Resolve(d.steps)) {
+      d.covered.push_back(sn->id);
+    }
+    std::sort(d.covered.begin(), d.covered.end());
+    d.covered_version = version;
+  }
+  *covered = d.covered;
+  return true;
 }
 
 Status ValueIndexManager::Create(const OpCtx& op, const std::string& name,
                                  const std::string& doc,
                                  const std::string& path_text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (indexes_.count(name) > 0) {
-    return Status::AlreadyExists("index '" + name + "' already exists");
-  }
   // Validate the path now so CREATE INDEX fails fast on bad definitions.
   SEDNA_ASSIGN_OR_RETURN(ExprPtr parsed, ParseExpression(path_text));
   SEDNA_RETURN_IF_ERROR(AnalyzeExpr(*parsed, nullptr, {}));
-  SEDNA_RETURN_IF_ERROR(storage_->GetDocument(doc).status());
-
-  Index index;
-  index.name = name;
-  index.doc = doc;
-  index.path = path_text;
-  index.dirty = true;
-  LowerDefinition(&index);
-  storage_->SetIndexDefinition(name, doc, path_text, 0);
-  Status built = RebuildLocked(op, &index);
-  if (!built.ok()) {
-    storage_->RemoveIndexDefinition(name);
-    return built;
-  }
-  indexes_[name] = std::move(index);
-  return Status::OK();
-}
-
-Status ValueIndexManager::Drop(const OpCtx& op, const std::string& name) {
+  SEDNA_ASSIGN_OR_RETURN(DocumentStore * store, storage_->GetDocument(doc));
+  // The name check and the insert are one step, so two statements creating
+  // one name on different documents cannot both succeed.
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end()) {
-    return Status::NotFound("index '" + name + "' does not exist");
+  if (DocumentOf(name).ok()) {
+    return Status::AlreadyExists("index '" + name + "' already exists");
   }
-  if (it->second.meta) {
-    BtreeIndex tree(storage_->env(), it->second.meta);
-    // An aborted transaction may have rolled the tree's pages back to
-    // garbage; only walk-and-free a tree whose meta is still readable.
-    if (tree.GetStats(op).ok()) {
-      SEDNA_RETURN_IF_ERROR(tree.Destroy(op));
-    }
-  }
-  indexes_.erase(it);
-  storage_->RemoveIndexDefinition(name);
+  IndexDefinition def{name, path_text, Xptr()};
+  SEDNA_RETURN_IF_ERROR(Build(op, &def));
+  store->PutIndex(std::move(def));
   return Status::OK();
 }
 
-Status ValueIndexManager::RebuildLocked(const OpCtx& op, Index* index) {
-  StorageEnv* env = storage_->env();
-  if (index->meta) {
-    BtreeIndex old(env, index->meta);
-    if (old.GetStats(op).ok()) {
-      SEDNA_RETURN_IF_ERROR(old.Destroy(op));
-    }
-    index->meta = Xptr();
-    storage_->SetIndexMeta(index->name, 0);
+StatusOr<std::string> ValueIndexManager::DocumentOf(
+    const std::string& name) const {
+  for (const std::string& doc_name : storage_->DocumentNames()) {
+    StatusOr<DocumentStore*> doc = storage_->GetDocument(doc_name);
+    if (doc.ok() && (*doc)->FindIndex(name).has_value()) return doc_name;
   }
-  SEDNA_ASSIGN_OR_RETURN(ExprPtr path, ParseExpression(index->path));
+  return Status::NotFound("index '" + name + "' does not exist");
+}
+
+Status ValueIndexManager::Build(const OpCtx& op, IndexDefinition* def) {
+  SEDNA_ASSIGN_OR_RETURN(ExprPtr path, ParseExpression(def->path));
   SEDNA_RETURN_IF_ERROR(RewriteExpr(path.get(), nullptr));
   ExecContext ctx;
   ctx.storage = storage_;
   ctx.op = op;
   SEDNA_ASSIGN_OR_RETURN(Sequence nodes, Eval(*path, ctx));
+  for (const Item& item : nodes) {
+    if (!item.is_stored_node()) {
+      return Status::InvalidArgument("index path must select stored nodes");
+    }
+  }
+  StorageEnv* env = storage_->env();
   SEDNA_ASSIGN_OR_RETURN(Xptr meta, BtreeIndex::Create(env, op));
   BtreeIndex tree(env, meta);
   for (const Item& item : nodes) {
-    if (!item.is_stored_node()) {
-      (void)tree.Destroy(op);
-      return Status::InvalidArgument("index path must select stored nodes");
-    }
     const StoredNode& n = item.stored();
     SEDNA_ASSIGN_OR_RETURN(NodeInfo info, n.doc->nodes()->Info(op, n.addr));
     SEDNA_ASSIGN_OR_RETURN(std::string key, NodeStringValue(op, item));
     SEDNA_RETURN_IF_ERROR(tree.Insert(op, key, info.handle));
   }
-  index->meta = meta;
-  index->dirty = false;
-  index->covered_version = 0;  // schema may have moved while dirty
-  rebuilds_++;
-  storage_->SetIndexMeta(index->name, meta.raw);
+  def->meta = meta;
+  rebuilds_->Add();
   return Status::OK();
 }
 
-Status ValueIndexManager::EnsureCleanLocked(const OpCtx& op, Index* index) {
-  if (!index->dirty && index->meta) return Status::OK();
-  return RebuildLocked(op, index);
-}
-
 StatusOr<Sequence> ValueIndexManager::Lookup(const OpCtx& op,
+                                             const std::string& doc_name,
                                              const std::string& name,
                                              const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end()) {
+  SEDNA_ASSIGN_OR_RETURN(DocumentStore * doc,
+                         storage_->GetDocument(doc_name));
+  std::optional<IndexDefinition> def = doc->FindIndex(name);
+  if (!def.has_value()) {
     return Status::NotFound("index '" + name + "' does not exist");
   }
-  Index& index = it->second;
-  SEDNA_RETURN_IF_ERROR(EnsureCleanLocked(op, &index));
-  SEDNA_ASSIGN_OR_RETURN(DocumentStore * doc,
-                         storage_->GetDocument(index.doc));
-  BtreeIndex tree(storage_->env(), index.meta);
   std::vector<Xptr> handles;
-  SEDNA_RETURN_IF_ERROR(tree.ScanEqual(op, key, &handles));
+  SEDNA_RETURN_IF_ERROR(
+      BtreeIndex(storage_->env(), def->meta).ScanEqual(op, key, &handles));
   const bool verify = key.size() >= kBtreeMaxKeyBytes;
   Sequence out;
   for (Xptr handle : handles) {
@@ -269,49 +168,26 @@ StatusOr<Sequence> ValueIndexManager::Lookup(const OpCtx& op,
   return out;
 }
 
-StatusOr<uint64_t> ValueIndexManager::EntryCount(const OpCtx& op,
-                                                 const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end()) {
-    return Status::NotFound("index '" + name + "' does not exist");
-  }
-  SEDNA_RETURN_IF_ERROR(EnsureCleanLocked(op, &it->second));
-  BtreeIndex tree(storage_->env(), it->second.meta);
-  SEDNA_ASSIGN_OR_RETURN(BtreeIndex::Stats stats, tree.GetStats(op));
-  return stats.entry_count;
-}
-
 bool ValueIndexManager::FindIndexFor(
     const OpCtx& op, DocumentStore* doc,
     const std::vector<uint32_t>& value_schema_ids, IndexPlan* plan) {
   if (value_schema_ids.empty()) return false;
-  std::lock_guard<std::mutex> lock(mu_);
   bool found = false;
-  for (auto& [name, index] : indexes_) {
-    if (index.doc != doc->name() || !index.structural || index.dirty ||
-        !index.meta) {
+  std::vector<uint32_t> covered;
+  for (const IndexDefinition& def : doc->indexes()) {
+    if (!Covered(doc, def, &covered) ||
+        !std::includes(covered.begin(), covered.end(),
+                       value_schema_ids.begin(), value_schema_ids.end())) {
       continue;
     }
-    if (!RefreshCoveredLocked(&index, doc).ok()) continue;
-    bool covers_all = true;
-    for (uint32_t id : value_schema_ids) {
-      if (!Covers(index, id)) {
-        covers_all = false;
-        break;
-      }
-    }
-    if (!covers_all) continue;
     StatusOr<BtreeIndex::Stats> stats =
-        BtreeIndex(storage_->env(), index.meta).GetStats(op);
-    if (!stats.ok()) {
-      index.dirty = true;  // graceful degradation: rebuild on next use
-      continue;
-    }
+        BtreeIndex(storage_->env(), def.meta).GetStats(op);
+    if (!stats.ok()) continue;
     uint64_t est =
         stats->entry_count / std::max<uint64_t>(1, stats->distinct_keys);
     if (!found || est < plan->est_rows) {
-      plan->name = name;
+      plan->name = def.name;
+      plan->meta = def.meta;
       plan->entry_count = stats->entry_count;
       plan->distinct_keys = stats->distinct_keys;
       plan->est_rows = est;
@@ -322,20 +198,12 @@ bool ValueIndexManager::FindIndexFor(
 }
 
 StatusOr<Sequence> ValueIndexManager::ExecuteIndexScan(
-    const OpCtx& op, const std::string& name, const std::string& key,
-    const std::vector<uint32_t>& value_schema_ids, int parent_hops) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end()) {
-    return Status::NotFound("index '" + name + "' does not exist");
-  }
-  Index& index = it->second;
-  SEDNA_RETURN_IF_ERROR(EnsureCleanLocked(op, &index));
-  SEDNA_ASSIGN_OR_RETURN(DocumentStore * doc,
-                         storage_->GetDocument(index.doc));
-  BtreeIndex tree(storage_->env(), index.meta);
+    const OpCtx& op, DocumentStore* doc, const IndexPlan& plan,
+    const std::string& key, const std::vector<uint32_t>& value_schema_ids,
+    int parent_hops) {
   std::vector<Xptr> handles;
-  SEDNA_RETURN_IF_ERROR(tree.ScanEqual(op, key, &handles));
+  SEDNA_RETURN_IF_ERROR(
+      BtreeIndex(storage_->env(), plan.meta).ScanEqual(op, key, &handles));
   const bool verify = key.size() >= kBtreeMaxKeyBytes;
   Sequence out;
   for (Xptr handle : handles) {
@@ -368,180 +236,93 @@ StatusOr<Sequence> ValueIndexManager::ExecuteIndexScan(
   return out;
 }
 
-Status ValueIndexManager::MaintainSubtreeLocked(const OpCtx& op, Index* index,
-                                                DocumentStore* doc,
-                                                Xptr root_handle,
-                                                bool insert) {
+Status ValueIndexManager::MaintainSubtree(const OpCtx& op, BtreeIndex* tree,
+                                          const std::vector<uint32_t>& covered,
+                                          DocumentStore* doc, Xptr root_handle,
+                                          bool insert) {
   SEDNA_ASSIGN_OR_RETURN(Xptr root_addr,
                          doc->indirection()->Get(op, root_handle));
   std::vector<NodeInfo> nodes;
   SEDNA_RETURN_IF_ERROR(CollectSubtree(op, doc, root_addr, &nodes));
-  BtreeIndex tree(storage_->env(), index->meta);
   for (const NodeInfo& info : nodes) {
-    if (!Covers(*index, info.schema_id)) continue;
+    if (!std::binary_search(covered.begin(), covered.end(), info.schema_id)) {
+      continue;
+    }
     SEDNA_ASSIGN_OR_RETURN(std::string value, NodeValueOf(op, doc, info.addr));
     if (insert) {
-      SEDNA_RETURN_IF_ERROR(tree.Insert(op, value, info.handle));
+      SEDNA_RETURN_IF_ERROR(tree->Insert(op, value, info.handle));
     } else {
-      SEDNA_RETURN_IF_ERROR(tree.Erase(op, value, info.handle));
+      SEDNA_RETURN_IF_ERROR(tree->Erase(op, value, info.handle));
     }
   }
   return Status::OK();
 }
 
-void ValueIndexManager::PreUpdate(const OpCtx& op, DocumentStore* doc,
-                                  Xptr subtree_handle, Xptr ancestor_handle,
-                                  PendingMaintenance* pending) {
-  std::lock_guard<std::mutex> lock(mu_);
+Status ValueIndexManager::PreUpdate(const OpCtx& op, DocumentStore* doc,
+                                    Xptr subtree_handle, Xptr ancestor_handle,
+                                    PendingMaintenance* pending) {
   pending->doc = doc;
-  for (auto& [name, index] : indexes_) {
-    if (index.doc != doc->name()) continue;
-    if (!index.structural) {
-      // Legacy fallback, scoped to this document: lazy full rebuild.
-      index.dirty = true;
-      continue;
+  std::vector<uint32_t> covered;
+  for (const IndexDefinition& def : doc->indexes()) {
+    if (!Covered(doc, def, &covered)) continue;  // rebuilt in PostUpdate
+    BtreeIndex tree(storage_->env(), def.meta);
+    if (subtree_handle) {
+      SEDNA_RETURN_IF_ERROR(MaintainSubtree(op, &tree, covered, doc,
+                                            subtree_handle, /*insert=*/false));
     }
-    if (index.dirty) continue;
-    Status s = [&]() -> Status {
-      SEDNA_RETURN_IF_ERROR(RefreshCoveredLocked(&index, doc));
-      if (subtree_handle) {
-        SEDNA_RETURN_IF_ERROR(
-            MaintainSubtreeLocked(op, &index, doc, subtree_handle,
-                                  /*insert=*/false));
+    // Remove covered ancestors under their OLD string values; PostUpdate
+    // re-adds them keyed by the post-mutation values.
+    for (Xptr h = ancestor_handle; h;) {
+      SEDNA_ASSIGN_OR_RETURN(NodeInfo info, doc->nodes()->InfoByHandle(op, h));
+      if (std::binary_search(covered.begin(), covered.end(),
+                             info.schema_id)) {
+        SEDNA_ASSIGN_OR_RETURN(std::string value,
+                               NodeValueOf(op, doc, info.addr));
+        SEDNA_RETURN_IF_ERROR(tree.Erase(op, value, h));
+        pending->ancestors.emplace_back(def.name, h);
       }
-      // Remove covered ancestors under their OLD string values; PostUpdate
-      // re-adds them keyed by the post-mutation values.
-      BtreeIndex tree(storage_->env(), index.meta);
-      for (Xptr h = ancestor_handle; h;) {
-        SEDNA_ASSIGN_OR_RETURN(NodeInfo info,
-                               doc->nodes()->InfoByHandle(op, h));
-        if (Covers(index, info.schema_id)) {
-          SEDNA_ASSIGN_OR_RETURN(std::string value,
-                                 NodeValueOf(op, doc, info.addr));
-          SEDNA_RETURN_IF_ERROR(tree.Erase(op, value, h));
-          pending->ancestors.emplace_back(index.name, h);
-        }
-        h = info.parent_handle;
-      }
-      return Status::OK();
-    }();
-    if (!s.ok()) {
-      index.dirty = true;
-      maintenance_failures_++;
+      h = info.parent_handle;
     }
   }
+  return Status::OK();
 }
 
-void ValueIndexManager::PostUpdate(const OpCtx& op,
-                                   const std::vector<Xptr>& new_subtrees,
-                                   PendingMaintenance* pending) {
-  std::lock_guard<std::mutex> lock(mu_);
+Status ValueIndexManager::PostUpdate(const OpCtx& op,
+                                     const std::vector<Xptr>& new_subtrees,
+                                     PendingMaintenance* pending) {
   DocumentStore* doc = pending->doc;
-  if (doc == nullptr) return;
-  for (auto& [name, index] : indexes_) {
-    if (index.doc != doc->name() || !index.structural || index.dirty) {
+  if (doc == nullptr) return Status::OK();
+  std::vector<uint32_t> covered;
+  for (IndexDefinition& def : doc->indexes()) {
+    if (!Covered(doc, def, &covered)) {
+      // Not structural: rebuild over the updated document, in this
+      // statement's transaction.
+      BtreeIndex old(storage_->env(), def.meta);
+      SEDNA_RETURN_IF_ERROR(Build(op, &def));
+      SEDNA_RETURN_IF_ERROR(old.Destroy(op));
+      doc->PutIndex(def);
       continue;
     }
-    Status s = [&]() -> Status {
-      // The insert may have grown the schema; re-resolve the covered set
-      // before classifying the new nodes.
-      SEDNA_RETURN_IF_ERROR(RefreshCoveredLocked(&index, doc));
-      for (Xptr root : new_subtrees) {
-        SEDNA_RETURN_IF_ERROR(
-            MaintainSubtreeLocked(op, &index, doc, root, /*insert=*/true));
-      }
-      return Status::OK();
-    }();
-    if (!s.ok()) {
-      index.dirty = true;
-      maintenance_failures_++;
+    // The insert may have grown the schema; Covered re-resolved the set
+    // before the new nodes are classified.
+    BtreeIndex tree(storage_->env(), def.meta);
+    for (Xptr root : new_subtrees) {
+      SEDNA_RETURN_IF_ERROR(
+          MaintainSubtree(op, &tree, covered, doc, root, /*insert=*/true));
     }
-  }
-  for (const auto& [iname, handle] : pending->ancestors) {
-    auto it = indexes_.find(iname);
-    if (it == indexes_.end() || it->second.dirty) continue;
-    Index& index = it->second;
-    Status s = [&]() -> Status {
+    for (const auto& [index, handle] : pending->ancestors) {
+      if (index != def.name) continue;
       SEDNA_ASSIGN_OR_RETURN(NodeInfo info,
                              doc->nodes()->InfoByHandle(op, handle));
       SEDNA_ASSIGN_OR_RETURN(std::string value,
                              NodeValueOf(op, doc, info.addr));
-      BtreeIndex tree(storage_->env(), index.meta);
-      return tree.Insert(op, value, handle);
-    }();
-    if (!s.ok()) {
-      index.dirty = true;
-      maintenance_failures_++;
+      SEDNA_RETURN_IF_ERROR(tree.Insert(op, value, handle));
     }
+    maintenance_ops_->Add();
   }
-  maintenance_ops_++;
   pending->ancestors.clear();
   pending->doc = nullptr;
-}
-
-void ValueIndexManager::InvalidateDocument(const std::string& doc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, index] : indexes_) {
-    if (index.doc == doc) index.dirty = true;
-  }
-}
-
-void ValueIndexManager::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, index] : indexes_) index.dirty = true;
-}
-
-Status ValueIndexManager::OnDocumentDropped(const OpCtx& op,
-                                            const std::string& doc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = indexes_.begin(); it != indexes_.end();) {
-    if (it->second.doc != doc) {
-      ++it;
-      continue;
-    }
-    if (it->second.meta) {
-      BtreeIndex tree(storage_->env(), it->second.meta);
-      if (tree.GetStats(op).ok()) {
-        SEDNA_RETURN_IF_ERROR(tree.Destroy(op));
-      }
-    }
-    storage_->RemoveIndexDefinition(it->first);
-    it = indexes_.erase(it);
-  }
   return Status::OK();
-}
-
-Status ValueIndexManager::Validate(const OpCtx& op) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, index] : indexes_) {
-    if (index.dirty || !index.meta) continue;  // nothing durable to check
-    StatusOr<DocumentStore*> doc = storage_->GetDocument(index.doc);
-    if (!doc.ok()) {
-      return Status::Corruption("index '" + name +
-                                "' refers to missing document '" + index.doc +
-                                "'");
-    }
-    BtreeIndex tree(storage_->env(), index.meta);
-    SEDNA_RETURN_IF_ERROR(tree.Validate(op));
-    std::vector<std::pair<std::string, Xptr>> entries;
-    SEDNA_RETURN_IF_ERROR(tree.ScanAll(op, &entries));
-    for (const auto& [key, handle] : entries) {
-      Status resolved = (*doc)->indirection()->Get(op, handle).status();
-      if (!resolved.ok()) {
-        return Status::Corruption("index '" + name +
-                                  "' entry handle does not resolve: " +
-                                  resolved.message());
-      }
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> ValueIndexManager::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& [name, _] : indexes_) out.push_back(name);
-  return out;
 }
 
 }  // namespace sedna

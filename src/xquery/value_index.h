@@ -7,21 +7,22 @@
 // descriptors, which is exactly why the paper indexes handles rather than
 // direct pointers.
 //
-// Entries live in a persistent B+tree (storage/btree_index.h) whose pages
-// ride the same buffer pool, version manager and checkpoint cycle as node
-// blocks, so index state survives restart without a rebuild and rolls back
-// with the transaction on abort. Structural index definitions (child /
-// attribute / descendant steps only, no predicates) are lowered to a
-// path-summary pattern; the set of schema nodes the pattern covers is what
-// drives both incremental maintenance (update statements erase and re-add
-// exactly the affected entries) and the cost-based planner (an index serves
-// a predicate when its covered set contains every schema node the
-// predicate's relative path can reach).
+// An index is part of its document's state: the definition {name, path,
+// B+tree meta page} lives in the document's metadata (DocumentStore), and
+// the tree's pages ride the same buffer pool, version manager and
+// checkpoint cycle as node blocks. Abort, DROP DOCUMENT, checkpoint and
+// reopen therefore cover indexes without index-specific code, and an index
+// changes only inside a statement that holds its document's exclusive lock.
 //
-// Non-structural definitions (or any index whose maintenance hits an error)
-// fall back to the legacy model: a per-document dirty flag and a lazy full
-// rebuild on next use. Invalidation is scoped per document — an update to
-// doc A never dirties indexes over doc B.
+// This manager keeps no catalog. It builds trees, maintains them inside
+// the updating statement and serves reads, caching only what it derives
+// from a definition: the path lowered to a path-summary pattern and the
+// schema nodes that pattern covers. Structural definitions (child /
+// attribute / descendant steps, no predicates) are maintained
+// incrementally; any other definition is rebuilt by the statement that
+// updates its document. A maintenance error fails the statement, so its
+// transaction rolls back the data and the index pages together. Reads
+// never write.
 
 #ifndef SEDNA_XQUERY_VALUE_INDEX_H_
 #define SEDNA_XQUERY_VALUE_INDEX_H_
@@ -32,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "storage/btree_index.h"
 #include "storage/path_summary.h"
 #include "storage/storage_engine.h"
@@ -43,21 +45,20 @@ class ValueIndexManager {
  public:
   explicit ValueIndexManager(StorageEngine* storage);
 
-  /// Registers an index over the nodes selected by `path_text` (a
-  /// structural path expression) in document `doc` and builds its B+tree.
+  /// Builds a B+tree over the nodes selected by `path_text` (a path
+  /// expression starting at doc(`doc`)) and adds the definition to the
+  /// document. Index names are unique across documents.
   Status Create(const OpCtx& op, const std::string& name,
                 const std::string& doc, const std::string& path_text);
 
-  /// Drops the index and frees its B+tree pages.
-  Status Drop(const OpCtx& op, const std::string& name);
+  /// Name of the document that holds index `name` (kNotFound when none
+  /// does). index-lookup() and DROP INDEX lock that document first.
+  StatusOr<std::string> DocumentOf(const std::string& name) const;
 
-  /// Nodes whose string value equals `key`, in document order without
-  /// duplicates (the fix for the old arbitrary-order contract).
-  StatusOr<Sequence> Lookup(const OpCtx& op, const std::string& name,
-                            const std::string& key);
-
-  /// Count of entries currently in the index (rebuilds if dirty).
-  StatusOr<uint64_t> EntryCount(const OpCtx& op, const std::string& name);
+  /// Nodes of document `doc` whose string value equals `key` in its index
+  /// `name`, in document order without duplicates.
+  StatusOr<Sequence> Lookup(const OpCtx& op, const std::string& doc,
+                            const std::string& name, const std::string& key);
 
   // --- planner API ----------------------------------------------------------
 
@@ -65,36 +66,40 @@ class ValueIndexManager {
   /// against a block scan. est_rows = entry_count / max(1, distinct_keys).
   struct IndexPlan {
     std::string name;
+    Xptr meta;  // the tree the scan probes
     uint64_t entry_count = 0;
     uint64_t distinct_keys = 0;
     uint64_t est_rows = 0;
   };
 
-  /// Finds a clean structural index over `doc` whose covered schema-node
-  /// set contains every id in `value_schema_ids` (sorted). Returns false
-  /// when no index qualifies; never triggers a rebuild.
+  /// Finds a structural index over `doc` whose covered schema-node set
+  /// contains every id in `value_schema_ids` (sorted). Returns false when
+  /// no index qualifies; an index whose statistics cannot be read (say, a
+  /// tree this snapshot cannot see yet) is skipped.
   bool FindIndexFor(const OpCtx& op, DocumentStore* doc,
                     const std::vector<uint32_t>& value_schema_ids,
                     IndexPlan* plan);
 
-  /// Runs the physical index scan: entries equal to `key`, filtered to
-  /// value nodes whose schema id is in `value_schema_ids`, each walked up
-  /// `parent_hops` parent handles to the result node, then deduplicated
-  /// into document order.
+  /// Runs the physical index scan of `plan` over `doc`: entries equal to
+  /// `key`, filtered to value nodes whose schema id is in
+  /// `value_schema_ids`, each walked up `parent_hops` parent handles to the
+  /// result node, then deduplicated into document order.
   StatusOr<Sequence> ExecuteIndexScan(
-      const OpCtx& op, const std::string& name, const std::string& key,
-      const std::vector<uint32_t>& value_schema_ids, int parent_hops);
+      const OpCtx& op, DocumentStore* doc, const IndexPlan& plan,
+      const std::string& key, const std::vector<uint32_t>& value_schema_ids,
+      int parent_hops);
 
-  // --- incremental maintenance ----------------------------------------------
+  // --- maintenance ----------------------------------------------------------
   // Update statements bracket each target mutation with PreUpdate /
-  // PostUpdate. PreUpdate runs BEFORE the mutation while old string values
-  // are still computable: it erases the entries of covered nodes inside the
-  // to-be-deleted subtree and of covered ancestors (whose concatenated text
-  // value is about to change), recording the ancestors for re-keying.
-  // PostUpdate runs AFTER: it inserts entries for covered nodes in newly
-  // inserted subtrees and re-adds the recorded ancestors with their new
-  // values. Maintenance never fails the statement — any error marks the
-  // index dirty (lazy rebuild) and is counted in maintenance_failures().
+  // PostUpdate; both look only at the updated document's indexes. PreUpdate
+  // runs BEFORE the mutation while old string values are still computable:
+  // it erases the entries of covered nodes inside the to-be-deleted subtree
+  // and of covered ancestors (whose concatenated text value is about to
+  // change), recording the ancestors for re-keying. PostUpdate runs AFTER:
+  // it inserts entries for covered nodes in newly inserted subtrees,
+  // re-adds the recorded ancestors with their new values, and rebuilds
+  // every non-structural index of the document. An error fails the
+  // statement.
 
   struct PendingMaintenance {
     DocumentStore* doc = nullptr;
@@ -104,73 +109,42 @@ class ValueIndexManager {
   /// `subtree_handle`: root of a subtree about to be deleted (null for pure
   /// inserts). `ancestor_handle`: first node of the parent chain whose
   /// string value the mutation may change (null-safe).
-  void PreUpdate(const OpCtx& op, DocumentStore* doc, Xptr subtree_handle,
-                 Xptr ancestor_handle, PendingMaintenance* pending);
+  Status PreUpdate(const OpCtx& op, DocumentStore* doc, Xptr subtree_handle,
+                   Xptr ancestor_handle, PendingMaintenance* pending);
 
   /// `new_subtrees`: handles of subtree roots inserted by the mutation.
-  void PostUpdate(const OpCtx& op, const std::vector<Xptr>& new_subtrees,
-                  PendingMaintenance* pending);
-
-  // --- invalidation fallback ------------------------------------------------
-
-  /// Marks every index over `doc` dirty (lazy rebuild on next use).
-  void InvalidateDocument(const std::string& doc);
-
-  /// Marks every index dirty. Kept for coarse callers (tests, recovery
-  /// edge cases); statement execution uses the scoped variants.
-  void InvalidateAll();
-
-  /// Drops every index defined over `doc`, freeing their B+trees.
-  Status OnDocumentDropped(const OpCtx& op, const std::string& doc);
-
-  /// Deep check of every clean index: B+tree structural validation plus
-  /// resolution of every stored handle through the document's indirection
-  /// table. Wired into Database::CheckConsistency.
-  Status Validate(const OpCtx& op);
-
-  std::vector<std::string> Names() const;
-  uint64_t rebuilds() const { return rebuilds_; }
-  uint64_t maintenance_ops() const { return maintenance_ops_; }
-  uint64_t maintenance_failures() const { return maintenance_failures_; }
+  Status PostUpdate(const OpCtx& op, const std::vector<Xptr>& new_subtrees,
+                    PendingMaintenance* pending);
 
  private:
-  struct Index {
-    std::string name;
-    std::string doc;
-    std::string path;  // statement text of the defining path
-    bool dirty = true;
-    Xptr meta;  // B+tree meta page (null until first build)
-
-    // Structural lowering (empty + structural=false when the path has
-    // non-structural steps; such indexes always use the rebuild fallback).
-    bool structural = false;
-    std::vector<SummaryStep> steps;
-
-    // Schema nodes the pattern covers, refreshed when the schema version
-    // moves (sorted ids; binary-searchable).
-    std::vector<uint32_t> covered;
-    uint64_t covered_version = 0;
+  /// What the manager derives from one definition, cached by index name.
+  struct Derived {
+    std::string path;                // the definition path it came from
+    std::vector<SummaryStep> steps;  // empty: the path is not structural
+    std::vector<uint32_t> covered;   // sorted schema ids
+    uint64_t covered_version = 0;    // schema version `covered` is for
   };
 
-  Status RebuildLocked(const OpCtx& op, Index* index);
-  Status EnsureCleanLocked(const OpCtx& op, Index* index);
-  /// Refreshes index->covered from the document's path summary.
-  Status RefreshCoveredLocked(Index* index, DocumentStore* doc);
-  /// Lowers index->path into SummarySteps; sets index->structural.
-  void LowerDefinition(Index* index);
+  /// Copies the schema ids `def` covers in `doc`'s current schema into
+  /// `covered`; false when the definition is not structural.
+  bool Covered(DocumentStore* doc, const IndexDefinition& def,
+               std::vector<uint32_t>* covered);
+
+  /// Builds a fresh tree for `def` over the current document and points
+  /// def->meta at it. The caller destroys the old tree, if any.
+  Status Build(const OpCtx& op, IndexDefinition* def);
+
   /// Erases (old values) or inserts (new values) the covered entries of
   /// the subtree rooted at `root_handle`.
-  Status MaintainSubtreeLocked(const OpCtx& op, Index* index,
-                               DocumentStore* doc, Xptr root_handle,
-                               bool insert);
-  static bool Covers(const Index& index, uint32_t schema_id);
+  Status MaintainSubtree(const OpCtx& op, BtreeIndex* tree,
+                         const std::vector<uint32_t>& covered,
+                         DocumentStore* doc, Xptr root_handle, bool insert);
 
   StorageEngine* storage_;
-  mutable std::mutex mu_;
-  std::map<std::string, Index> indexes_;
-  uint64_t rebuilds_ = 0;
-  uint64_t maintenance_ops_ = 0;
-  uint64_t maintenance_failures_ = 0;
+  std::mutex mu_;  // guards derived_; serializes Create's name check
+  std::map<std::string, Derived> derived_;
+  Counter* rebuilds_;         // index.rebuilds
+  Counter* maintenance_ops_;  // index.maintenance_ops
 };
 
 }  // namespace sedna

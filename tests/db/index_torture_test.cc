@@ -13,7 +13,7 @@
 //      table,
 //   2. every surviving index answers lookups byte-identical to (a) the
 //      equivalent scan predicate over the recovered document and (b) a
-//      from-scratch rebuild of the same index over the same data,
+//      second index built from scratch on the same path over the same data,
 //   3. no buffer frame stays pinned once sessions are gone.
 //
 // Crash points sweep the full op stream in both crash styles plus aimed
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "common/fault_vfs.h"
+#include "common/metrics.h"
 #include "db/database.h"
-#include "xquery/value_index.h"
 
 namespace sedna {
 namespace {
@@ -139,7 +139,7 @@ void RunCrashTrial(uint64_t rel_crash, CrashStyle style, uint64_t seed) {
       << "recovery failed: " << reopened.status().ToString();
   db = std::move(reopened).value();
 
-  // Invariant 1: the consistency sweep (node blocks + every clean B+tree)
+  // Invariant 1: the consistency sweep (node blocks + every B+tree)
   // is green right after recovery.
   ASSERT_TRUE(db->CheckConsistency().ok());
 
@@ -162,21 +162,28 @@ void RunCrashTrial(uint64_t rel_crash, CrashStyle style, uint64_t seed) {
     }
 
     // Invariant 2b: the recovered trees are byte-identical to a fresh
-    // rebuild of the same definitions over the same recovered data.
-    db->indexes()->InvalidateAll();
-    bool still_sku = false, still_qty = false;
-    std::vector<std::string> sku_rebuilt =
-        Probe(session.get(), "by-sku", kSkuProbes, std::size(kSkuProbes),
-              &still_sku);
-    std::vector<std::string> qty_rebuilt =
-        Probe(session.get(), "by-qty", kQtyProbes, std::size(kQtyProbes),
-              &still_qty);
-    EXPECT_EQ(has_sku, still_sku);
-    EXPECT_EQ(has_qty, still_qty);
-    EXPECT_EQ(sku_recovered, sku_rebuilt);
-    EXPECT_EQ(qty_recovered, qty_rebuilt);
+    // build of the same definition over the same recovered data: a second
+    // index on the same path under another name.
+    if (has_sku) {
+      ASSERT_TRUE(
+          session->Execute("CREATE INDEX 'by-sku-fresh' ON doc('inv')//sku")
+              .ok());
+      bool fresh = false;
+      EXPECT_EQ(sku_recovered,
+                Probe(session.get(), "by-sku-fresh", kSkuProbes,
+                      std::size(kSkuProbes), &fresh));
+    }
+    if (has_qty) {
+      ASSERT_TRUE(
+          session->Execute("CREATE INDEX 'by-qty-fresh' ON doc('inv')//qty")
+              .ok());
+      bool fresh = false;
+      EXPECT_EQ(qty_recovered,
+                Probe(session.get(), "by-qty-fresh", kQtyProbes,
+                      std::size(kQtyProbes), &fresh));
+    }
 
-    // The rebuilt state passes the same deep sweep, and the database is
+    // The fresh trees pass the same deep sweep, and the database is
     // fully writable again (maintenance still runs post-recovery). Early
     // crashes may predate the document itself; the container existence
     // check keeps the writability probe valid for every crash point.
@@ -277,21 +284,26 @@ TEST(IndexTortureTest, CleanReopenMatchesFreshRebuild) {
   ASSERT_TRUE(db->Checkpoint().ok());
   db.reset();
 
+  Counter* rebuilds = MetricsRegistry::Global().counter("index.rebuilds");
+  const uint64_t rebuilds_before_open = rebuilds->value();
   auto reopened = Database::Open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   db = std::move(reopened).value();
   ASSERT_TRUE(db->CheckConsistency().ok());
-  EXPECT_EQ(db->indexes()->rebuilds(), 0u);  // served straight from disk
   auto session = db->Connect();
   bool exists = false;
   std::vector<std::string> before = Probe(session.get(), "by-sku", kSkuProbes,
                                           std::size(kSkuProbes), &exists);
   ASSERT_TRUE(exists);
-  db->indexes()->InvalidateAll();
-  std::vector<std::string> after = Probe(session.get(), "by-sku", kSkuProbes,
-                                         std::size(kSkuProbes), &exists);
+  // Served straight from disk: reopening and probing build nothing.
+  EXPECT_EQ(rebuilds->value(), rebuilds_before_open);
+  ASSERT_TRUE(
+      session->Execute("CREATE INDEX 'by-sku-fresh' ON doc('inv')//sku").ok());
+  std::vector<std::string> after = Probe(
+      session.get(), "by-sku-fresh", kSkuProbes, std::size(kSkuProbes),
+      &exists);
   EXPECT_EQ(before, after);
-  EXPECT_GE(db->indexes()->rebuilds(), 1u);
+  EXPECT_EQ(rebuilds->value(), rebuilds_before_open + 1);
   session.reset();
   EXPECT_EQ(db->storage()->buffers()->PinnedFrameCount(), 0u);
 }
