@@ -260,8 +260,8 @@ Status Session::Commit() {
   if (txn_ == nullptr) {
     return Status::FailedPrecondition("no open transaction");
   }
-  // Governed: the group-commit wait ends early on cancellation/deadline
-  // (withdrawing the record when no leader has picked it yet).
+  // Governed: a cancellation or deadline observed before the commit record
+  // is written rolls the transaction back.
   QueryContext query;
   BeginGoverned(&query);
   Status st = db_->txns()->Commit(txn_.get(), &query);
@@ -283,8 +283,8 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
                                        const RewriteOptions& options) {
   // One governance context for the whole statement, owned here rather than
   // by ExecuteIn so it also covers the autocommit Begin (checkpoint gate)
-  // and Commit (group-commit wait) — a statement timeout or Cancel() call
-  // bounds the durability wait, not just the pipeline.
+  // and Commit — a statement cancelled or expired before its commit record
+  // is written rolls back, not just one cut inside the pipeline.
   QueryContext query;
   BeginGoverned(&query);
   StatusOr<QueryResult> result = [&]() -> StatusOr<QueryResult> {
@@ -304,8 +304,8 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
       }
       return r;
     }
-    // A failed commit has already rolled the transaction back; a cut
-    // group-commit wait reports the statement's terminal status.
+    // A commit cut by governance has already rolled the transaction back
+    // and reports the statement's terminal status.
     Status commit_st = db_->txns()->Commit(txn->get(), &query);
     if (!commit_st.ok()) return commit_st;
     return r;

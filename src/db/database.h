@@ -156,7 +156,10 @@ class Session {
   /// snapshot and never block on (or take) document locks. Begin, Commit
   /// and each statement run under the session's governance knobs: the
   /// statement timeout and Cancel() also bound the checkpoint gate in
-  /// Begin and the group-commit wait in Commit.
+  /// Begin and, in Commit, the time up to the commit record (the wait for
+  /// its fsync after that is bounded by one sync, not governed). Statements
+  /// inside the transaction may return data of commits that are not yet
+  /// durable; Commit acknowledges them, returning only once they are.
   Status Begin(bool read_only = false);
   Status Commit();
   Status Abort();
@@ -234,7 +237,7 @@ class Session {
   /// Applies the session's governance knobs to a fresh context and installs
   /// it as the current one (so Cancel() reaches it).
   /// The context lives in the caller's frame: it must span every governed
-  /// wait of the operation, including an autocommit's group-commit wait.
+  /// wait of the operation, including an autocommit's commit.
   void BeginGoverned(QueryContext* query);
   void EndGoverned(QueryContext* query);
 

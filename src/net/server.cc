@@ -1054,7 +1054,7 @@ Status Server::Shutdown(std::chrono::milliseconds grace) {
 
   // Phase 3: hard abort the stragglers through governance. Every running
   // statement observes its cancellation token at the next tick (pipeline
-  // pulls, lock waits, group-commit waits and result-sink flow control are
+  // pulls, lock waits, the commit point and result-sink flow control are
   // all governed), and queued-but-unstarted statements are answered with
   // kUnavailable by the workers.
   if (inflight_statements_.load(std::memory_order_acquire) > 0) {

@@ -1,5 +1,6 @@
 #include "txn/lock_manager.h"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace sedna {
@@ -47,13 +48,14 @@ bool LockManager::CanGrantLocked(const LockState& state, uint64_t txn_id,
 }
 
 Status LockManager::Acquire(uint64_t txn_id, const std::string& resource,
-                            LockMode mode, QueryContext* query) {
-  return Acquire(txn_id, resource, mode, default_timeout_, query);
+                            LockMode mode, QueryContext* query,
+                            uint64_t* stamp) {
+  return Acquire(txn_id, resource, mode, default_timeout_, query, stamp);
 }
 
 Status LockManager::Acquire(uint64_t txn_id, const std::string& resource,
                             LockMode mode, std::chrono::milliseconds timeout,
-                            QueryContext* query) {
+                            QueryContext* query, uint64_t* stamp) {
   std::unique_lock<std::mutex> lock(mu_);
   LockState& state = locks_[resource];
 
@@ -95,14 +97,27 @@ Status LockManager::Acquire(uint64_t txn_id, const std::string& resource,
   }
   state.holders[txn_id] = mode;
   m_acquired_->Add();
+  if (stamp != nullptr) {
+    auto stamped = stamps_.find(resource);
+    if (stamped != stamps_.end()) *stamp = std::max(*stamp, stamped->second);
+  }
   return Status::OK();
 }
 
-void LockManager::ReleaseAll(uint64_t txn_id) {
+void LockManager::ReleaseAll(uint64_t txn_id, uint64_t commit_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   bool released = false;
   for (auto it = locks_.begin(); it != locks_.end();) {
-    released |= it->second.holders.erase(txn_id) > 0;
+    auto held = it->second.holders.find(txn_id);
+    if (held != it->second.holders.end()) {
+      // Exclusive holders of one resource commit in lock order, so a
+      // stamp only ever grows.
+      if (commit_lsn != 0 && held->second == LockMode::kExclusive) {
+        stamps_[it->first] = commit_lsn;
+      }
+      it->second.holders.erase(held);
+      released = true;
+    }
     if (it->second.holders.empty() && it->second.waiters == 0) {
       it = locks_.erase(it);
     } else {

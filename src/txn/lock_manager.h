@@ -5,6 +5,12 @@
 // shared/exclusive modes, lock upgrade, and timeout-based deadlock
 // resolution (the waiter times out, returns kTimedOut, and its transaction
 // aborts — a standard deadlock-breaking strategy for coarse lock spaces).
+//
+// Locks are released at the commit point, before the commit record is
+// durable (early lock release). The committer stamps each document it held
+// exclusively with the end LSN of its commit record; a later transaction
+// learns the stamp when it is granted that document and must not
+// acknowledge anything before the log is durable up to it.
 
 #ifndef SEDNA_TXN_LOCK_MANAGER_H_
 #define SEDNA_TXN_LOCK_MANAGER_H_
@@ -53,15 +59,21 @@ class LockManager {
   /// returns the statement's abort status (kCancelled / kDeadlineExceeded)
   /// instead of the generic deadlock abort, so a blocked statement can be
   /// killed without waiting out the deadlock timeout.
+  ///
+  /// When `stamp` is non-null, a fresh grant raises `*stamp` to the
+  /// resource's commit stamp (see ReleaseAll), read under the same mutex
+  /// as the grant.
   Status Acquire(uint64_t txn_id, const std::string& resource, LockMode mode,
-                 QueryContext* query = nullptr);
+                 QueryContext* query = nullptr, uint64_t* stamp = nullptr);
   Status Acquire(uint64_t txn_id, const std::string& resource, LockMode mode,
                  std::chrono::milliseconds timeout,
-                 QueryContext* query = nullptr);
+                 QueryContext* query = nullptr, uint64_t* stamp = nullptr);
 
   /// Releases every lock of the transaction (strict 2PL: all locks are held
-  /// until commit/abort).
-  void ReleaseAll(uint64_t txn_id);
+  /// until commit/abort). A non-zero `commit_lsn` stamps every resource the
+  /// transaction held exclusively: its commit record ends there and may not
+  /// be durable yet.
+  void ReleaseAll(uint64_t txn_id, uint64_t commit_lsn = 0);
 
   /// Mode currently held by the transaction on the resource, if any.
   bool Holds(uint64_t txn_id, const std::string& resource,
@@ -85,6 +97,9 @@ class LockManager {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::string, LockState> locks_;
+  // Resource -> end LSN of the last commit that held it exclusively. Kept
+  // apart from locks_, whose entries go when the last holder leaves.
+  std::map<std::string, uint64_t> stamps_;
   std::chrono::milliseconds default_timeout_;
   double jitter_fraction_ = 0.25;
 

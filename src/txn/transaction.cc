@@ -26,7 +26,8 @@ OpCtx Transaction::ctx() const {
 Status Transaction::LockDocument(const std::string& name, LockMode mode,
                                  QueryContext* query) {
   if (read_only_) return Status::OK();  // snapshot isolation, non-blocking
-  SEDNA_RETURN_IF_ERROR(mgr_->locks()->Acquire(id_, name, mode, query));
+  SEDNA_RETURN_IF_ERROR(
+      mgr_->locks()->Acquire(id_, name, mode, query, &read_lsn_));
   if (mode == LockMode::kExclusive && meta_snapshots_.count(name) == 0) {
     // First exclusive access: remember the document's in-memory metadata so
     // an abort can restore it (pages are rolled back by the versions).
@@ -66,6 +67,7 @@ TransactionManager::TransactionManager(StorageEngine* storage,
                                        VersionManager* versions,
                                        WalWriter* wal)
     : storage_(storage), versions_(versions), wal_(wal) {
+  m_reader_waits_ = MetricsRegistry::Global().counter("wal.reader_waits");
   uint64_t start_ts = storage_->file()->master().next_timestamp;
   clock_.store(start_ts);
   last_commit_ts_.store(start_ts);
@@ -95,10 +97,13 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
   if (read_only) publish_lock.lock();
   uint64_t snapshot = last_commit_ts_.load();
   versions_->BeginTxn(id, read_only, snapshot);
+  // The snapshot holds every commit published so far, durable or not.
+  const uint64_t read_lsn = read_only ? last_commit_lsn_ : 0;
   if (read_only) publish_lock.unlock();
   std::unique_ptr<Transaction> txn(
       new Transaction(this, id, read_only, snapshot));
   txn->counted_updater_ = !read_only;
+  txn->read_lsn_ = read_lsn;
   live_transactions_.fetch_add(1, std::memory_order_acq_rel);
   return txn;
 }
@@ -141,50 +146,63 @@ Status TransactionManager::RollbackWork(Transaction* txn) {
   return first;
 }
 
+Status TransactionManager::Publish(Transaction* txn, uint64_t* commit_lsn) {
+  std::lock_guard<std::mutex> publish_lock(publish_mu_);
+  if (wal_ != nullptr && txn->logged_any_update_) {
+    SEDNA_ASSIGN_OR_RETURN(*commit_lsn, wal_->AppendCommit(txn->id_));
+  }
+  uint64_t commit_ts = clock_.fetch_add(1) + 1;
+  SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, commit_ts));
+  last_commit_ts_.store(commit_ts);
+  if (*commit_lsn != 0) last_commit_lsn_ = *commit_lsn;
+  return Status::OK();
+}
+
+Status TransactionManager::WaitForReads(uint64_t read_lsn) {
+  if (wal_ == nullptr || read_lsn <= wal_->durable_lsn()) return Status::OK();
+  m_reader_waits_->Add();
+  return wal_->WaitDurable(read_lsn);
+}
+
 Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
   if (!txn->active_) return Status::FailedPrecondition("transaction ended");
   txn->active_ = false;
   live_transactions_.fetch_sub(1, std::memory_order_acq_rel);
-  if (!txn->read_only_) {
-    if (wal_ != nullptr && txn->logged_any_update_) {
-      // Group commit: this may batch with concurrent committers — one
-      // fsync covers the whole group. Safe to run concurrently: writers
-      // hold exclusive document locks until release below, so two
-      // transactions in one group never overlap.
-      StatusOr<uint64_t> lsn = wal_->AppendCommitAndSync(txn->id_, query);
-      if (!lsn.ok()) {
-        // The commit record is missing (withdrawn, append failed) or not
-        // provably durable (fsync failed): roll back so the live state
-        // matches what recovery would reconstruct, and release everything.
-        Status rollback = RollbackWork(txn);
-        if (!rollback.ok()) {
-          SEDNA_LOG(kError) << "rollback after failed commit of txn "
-                            << txn->id_ << ": " << rollback.ToString();
-        }
-        FinishUpdater(txn);
-        locks_.ReleaseAll(txn->id_);
-        return lsn.status();
-      }
-    }
-    {
-      // Publish in commit-timestamp order: the ts assignment and the
-      // version publication are one atomic step for snapshot readers.
-      std::lock_guard<std::mutex> publish_lock(publish_mu_);
-      uint64_t commit_ts = clock_.fetch_add(1) + 1;
-      Status st = versions_->CommitTxn(txn->id_, commit_ts);
-      if (!st.ok()) {
-        FinishUpdater(txn);
-        locks_.ReleaseAll(txn->id_);
-        return st;
-      }
-      last_commit_ts_.store(commit_ts);
+  if (txn->read_only_) {
+    SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, 0));
+    return WaitForReads(txn->read_lsn_);
+  }
+  const bool logged = wal_ != nullptr && txn->logged_any_update_;
+  // Governance: the last point at which the statement can still be
+  // withdrawn — no commit record exists yet, so a cancelled or expired one
+  // rolls back and is absent after recovery.
+  Status st = logged && query != nullptr ? query->Check() : Status::OK();
+  uint64_t commit_lsn = 0;
+  if (st.ok()) st = Publish(txn, &commit_lsn);
+  if (logged && commit_lsn == 0) {
+    // No commit record was written: roll back so the live state matches
+    // what recovery would reconstruct, and release everything.
+    Status rollback = RollbackWork(txn);
+    if (!rollback.ok()) {
+      SEDNA_LOG(kError) << "rollback after failed commit of txn " << txn->id_
+                        << ": " << rollback.ToString();
     }
     FinishUpdater(txn);
-  } else {
-    SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, 0));
+    locks_.ReleaseAll(txn->id_);
+    return st;
   }
-  locks_.ReleaseAll(txn->id_);
-  return Status::OK();
+  // The commit point has passed: release the locks, stamping the documents
+  // written with the commit record's end, and only then wait for the log.
+  // The wait is not governed — the outcome is decided and one fsync bounds
+  // it. A failed sync rolls nothing back (later transactions may already
+  // have read this commit); the committer reports it and recovery decides.
+  locks_.ReleaseAll(txn->id_, commit_lsn);
+  Status durable = commit_lsn != 0 ? wal_->WaitDurable(commit_lsn)
+                                   : WaitForReads(txn->read_lsn_);
+  // Leave the drain count only now, so a checkpoint still waits for
+  // in-flight syncs.
+  FinishUpdater(txn);
+  return st.ok() ? durable : st;
 }
 
 Status TransactionManager::Abort(Transaction* txn) {

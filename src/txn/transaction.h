@@ -7,6 +7,14 @@
 //  * Durability: update statements are WAL-logged before their mutations
 //    apply; commit forces the log through the WAL's group commit — one
 //    fsync covers every transaction in the batch (Section 6.4).
+//  * Early lock release: the commit point is the commit record's append.
+//    A committer publishes its versions and releases its locks there, and
+//    only then waits for the fsync, so the next writer of the same document
+//    runs while that sync is in flight. No transaction returns from Commit
+//    before the log is durable up to every commit it may have read: a
+//    writer waits for its own commit record, a transaction that logged
+//    nothing for the newest commit stamp on the documents it locked, a
+//    snapshot reader for the newest commit published when it began.
 //  * Checkpoint creates the paper's "persistent snapshot": it drains
 //    active update transactions (new ones are gated at Begin, where they
 //    hold no locks), flushes all committed state, serializes catalog +
@@ -82,6 +90,9 @@ class Transaction {
   bool active_ = true;
   bool logged_any_update_ = false;
   bool counted_updater_ = false;  // registered in the checkpoint drain count
+  // End LSN of the newest commit this transaction may have read; a Commit
+  // that logged nothing returns only once the log is durable up to it.
+  uint64_t read_lsn_ = 0;
   // Documents locked exclusively: name -> metadata at first lock (nullopt
   // if the document did not exist yet). Restored on abort.
   std::map<std::string, std::optional<std::string>> meta_snapshots_;
@@ -113,12 +124,17 @@ class TransactionManager {
   StatusOr<std::unique_ptr<Transaction>> Begin(bool read_only = false,
                                                QueryContext* query = nullptr);
 
-  /// Commits. For updaters this goes through the WAL's group commit; a
-  /// non-null `query` lets the wait for the group leader end early on the
-  /// statement's cancellation/deadline. On any commit failure (I/O error,
-  /// withdrawn from the group) the transaction is rolled back internally —
-  /// metadata restored, versions aborted, locks released — and the commit
-  /// error is returned.
+  /// Commits. A transaction that logged updates checks `query` (when
+  /// non-null) first: a cancelled or expired statement is rolled back —
+  /// metadata restored, versions aborted, locks released — and returns its
+  /// status, as does one whose commit record cannot be appended. Past that
+  /// check the commit record is appended, the versions are published and
+  /// the locks released (the commit point); then the call waits, ungoverned,
+  /// until the log is durable up to that record. A failed sync after the
+  /// commit point is returned but rolls nothing back: later transactions
+  /// may already have read the commit. Every Commit, including read-only
+  /// ones, returns only once the log is durable up to what the transaction
+  /// read, or returns the log's sticky failure.
   Status Commit(Transaction* txn, QueryContext* query = nullptr);
   Status Abort(Transaction* txn);
 
@@ -164,6 +180,16 @@ class TransactionManager {
   /// Removes the transaction from the drain count (idempotent per txn).
   void FinishUpdater(Transaction* txn);
 
+  /// Appends the commit record of `txn` (when it logged updates), takes
+  /// the commit timestamp and publishes the versions, as one step under
+  /// publish_mu_. Sets `*commit_lsn` to the end of the commit record once
+  /// it is appended.
+  Status Publish(Transaction* txn, uint64_t* commit_lsn);
+
+  /// For a transaction that logged nothing: waits until the log is durable
+  /// up to `read_lsn`, counting `wal.reader_waits` when it is not already.
+  Status WaitForReads(uint64_t read_lsn);
+
   StorageEngine* storage_;
   VersionManager* versions_;
   WalWriter* wal_;
@@ -172,11 +198,15 @@ class TransactionManager {
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> clock_;
   std::atomic<uint64_t> last_commit_ts_;
-  // Commit-timestamp assignment and version publication happen together
-  // under this mutex, so snapshot readers always see a prefix of the
-  // commit order even when WAL durability was batched out of order. A
+  // Commit-record append, commit-timestamp assignment and version
+  // publication happen together under this mutex, so commit records sit in
+  // the log in commit-timestamp order (the order recovery replays them in)
+  // and snapshot readers always see a prefix of the commit order. A
   // read-only Begin takes and registers its snapshot under it too.
   std::mutex publish_mu_;
+  uint64_t last_commit_lsn_ = 0;  // end of the newest published commit
+                                  // record; guarded by publish_mu_
+  Counter* m_reader_waits_ = nullptr;  // wal.reader_waits
   // Checkpoint drain state: count of live update transactions and the
   // gate that holds new ones while a checkpoint runs.
   mutable std::mutex drain_mu_;

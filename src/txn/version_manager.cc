@@ -44,11 +44,12 @@ Status VersionManager::FreePhysicalLocked(PhysPageId ppn) {
 
 void VersionManager::PurgeSupersededLocked(LogicalPageId lpid,
                                            PageVersions* pv) {
-  if (pv->committed.size() < 2) return;
-  uint64_t min_snapshot = MinActiveSnapshotLocked();
-  // Version i (not the last) is needed iff some active snapshot ts
-  // satisfies v[i].ts <= ts < v[i+1].ts. With only the minimum tracked we
-  // keep every version whose successor is newer than the oldest snapshot.
+  if (pv->committed.size() < 2) {
+    multi_version_pages_.erase(lpid);
+    return;
+  }
+  // Version i (not the last) is needed iff some active snapshot ts — or
+  // the persistent snapshot — satisfies v[i].ts <= ts < v[i+1].ts.
   std::vector<CommittedVersion> kept;
   for (size_t i = 0; i < pv->committed.size(); ++i) {
     if (i + 1 == pv->committed.size()) {
@@ -75,8 +76,20 @@ void VersionManager::PurgeSupersededLocked(LogicalPageId lpid,
       }
     }
   }
-  (void)min_snapshot;
   pv->committed = std::move(kept);
+  if (pv->committed.size() >= 2) {
+    multi_version_pages_.insert(lpid);
+  } else {
+    multi_version_pages_.erase(lpid);
+  }
+}
+
+void VersionManager::PurgeAllSupersededLocked() {
+  for (auto it = multi_version_pages_.begin();
+       it != multi_version_pages_.end();) {
+    LogicalPageId lpid = *it++;  // the purge may erase lpid from the set
+    PurgeSupersededLocked(lpid, &versions_.at(lpid));
+  }
 }
 
 Status VersionManager::RunDeferredFreesLocked() {
@@ -101,6 +114,7 @@ Status VersionManager::RunDeferredFreesLocked() {
         }
       }
       versions_.erase(it);
+      multi_version_pages_.erase(df.lpid);
     }
     if (directory_->Contains(df.lpid)) {
       StatusOr<PhysPageId> ppn =
@@ -125,8 +139,8 @@ Status VersionManager::CommitTxn(uint64_t txn_id, uint64_t commit_ts) {
 
   if (state.read_only) {
     active_snapshots_.erase(active_snapshots_.find(state.snapshot_ts));
-    // Snapshot release can unpin old versions everywhere.
-    for (auto& [lpid, pv] : versions_) PurgeSupersededLocked(lpid, &pv);
+    // Snapshot release can unpin old versions on any multi-version page.
+    PurgeAllSupersededLocked();
     return RunDeferredFreesLocked();
   }
 
@@ -180,6 +194,7 @@ Status VersionManager::AbortTxn(uint64_t txn_id) {
   }
   for (LogicalPageId lpid : state.allocated) {
     versions_.erase(lpid);
+    multi_version_pages_.erase(lpid);
     if (directory_->Contains(lpid)) {
       StatusOr<PhysPageId> ppn = directory_->Resolve(lpid, ResolveContext{});
       if (ppn.ok() && buffers_ != nullptr) buffers_->DiscardPhysical(*ppn);
@@ -329,8 +344,9 @@ StatusOr<PageResolver::WriteTarget> VersionManager::ResolveForWrite(
 Status VersionManager::SetPersistentSnapshot(uint64_t ts) {
   std::lock_guard<std::mutex> lock(mu_);
   persistent_snapshot_ts_ = ts;
-  // Advancing the persistent snapshot may unpin versions everywhere.
-  for (auto& [lpid, pv] : versions_) PurgeSupersededLocked(lpid, &pv);
+  // Advancing the persistent snapshot may unpin versions on any
+  // multi-version page.
+  PurgeAllSupersededLocked();
   return RunDeferredFreesLocked();
 }
 

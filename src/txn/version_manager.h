@@ -122,7 +122,12 @@ class VersionManager : public PageResolver {
   /// Clears the page's working-copy flag once no transaction holds a copy.
   void ClearWorkingFlagIfNoCopyLocked(LogicalPageId lpid,
                                       const PageVersions& pv);
+  /// Frees the committed versions of the page that neither a live snapshot
+  /// nor the persistent one needs, and keeps multi_version_pages_ in step.
   void PurgeSupersededLocked(LogicalPageId lpid, PageVersions* pv);
+  /// PurgeSupersededLocked over every page in multi_version_pages_: run
+  /// when a snapshot is released or the persistent snapshot advances.
+  void PurgeAllSupersededLocked();
   Status RunDeferredFreesLocked();
   Status FreePhysicalLocked(PhysPageId ppn);
 
@@ -132,6 +137,9 @@ class VersionManager : public PageResolver {
 
   mutable std::mutex mu_;
   std::map<LogicalPageId, PageVersions> versions_;
+  // Pages holding two or more committed versions: the only ones a purge can
+  // shrink, so a released snapshot visits these instead of versions_.
+  std::set<LogicalPageId> multi_version_pages_;
   std::map<uint64_t, TxnState> txns_;
   std::multiset<uint64_t> active_snapshots_;
   std::vector<DeferredFree> deferred_frees_;

@@ -19,7 +19,7 @@ constexpr uint32_t kWalSegmentVersion = 1;
 /// held more than one commit (writers are arriving concurrently), a fresh
 /// leader waits before its fsync so the committers acknowledged by the last
 /// group can catch the next one — otherwise groups alternate between a
-/// batch of one (the leader that found an empty queue) and the pile-up
+/// batch of one (the leader that found no sync in flight) and the pile-up
 /// behind it. The actual wait adapts to the device: half the last measured
 /// fsync, capped here, so a fast device never waits longer than its own
 /// sync.
@@ -38,6 +38,7 @@ struct WalMetrics {
   Counter* group_commits;
   Histogram* fsync_ns;
   Histogram* sync_batch_size;
+  Histogram* durable_wait_ns;
 
   static const WalMetrics& Get() {
     static const WalMetrics m = [] {
@@ -51,7 +52,8 @@ struct WalMetrics {
                         reg.counter("wal.segments_removed"),
                         reg.counter("wal.group_commits"),
                         reg.histogram("wal.fsync_ns"),
-                        reg.histogram("wal.sync_batch_size")};
+                        reg.histogram("wal.sync_batch_size"),
+                        reg.histogram("wal.durable_wait_ns")};
     }();
     return m;
   }
@@ -155,7 +157,7 @@ Status WalWriter::Open(const std::string& base,
                          ListSegmentFiles(base, vfs_));
   if (segs.empty()) {
     end_lsn_ = 0;
-    durable_lsn_ = 0;
+    durable_lsn_.store(0, std::memory_order_release);
     return CreateSegmentLocked(0);
   }
   const SegmentFile& last = segs.back();
@@ -175,7 +177,7 @@ Status WalWriter::Open(const std::string& base,
   end_lsn_ = last.start + (size - kWalSegmentHeaderSize);
   // Recovery truncated the torn tail and synced before reopening; what is
   // on disk now is the durable baseline.
-  durable_lsn_ = end_lsn_;
+  durable_lsn_.store(end_lsn_, std::memory_order_release);
   return Status::OK();
 }
 
@@ -230,7 +232,9 @@ Status WalWriter::RotateLocked() {
     if (st.code() == StatusCode::kIOError) NoteIoFailureLocked(st);
     return st;
   }
-  if (end_lsn_ > durable_lsn_) durable_lsn_ = end_lsn_;
+  // The seal covers every commit record appended so far.
+  AdvanceDurableLocked(end_lsn_);
+  pending_commits_ = 0;
   Status created = CreateSegmentLocked(end_lsn_);
   if (!created.ok()) {
     if (created.code() == StatusCode::kIOError) NoteIoFailureLocked(created);
@@ -277,21 +281,31 @@ StatusOr<uint64_t> WalWriter::Append(WalRecordType type, uint64_t txn_id,
   return AppendLocked(type, txn_id, payload);
 }
 
+StatusOr<uint64_t> WalWriter::AppendCommit(uint64_t txn_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SEDNA_RETURN_IF_ERROR(AppendLocked(WalRecordType::kCommit, txn_id, {})
+                            .status());
+  pending_commits_++;
+  if (gathering_) gather_cv_.notify_one();
+  return end_lsn_;
+}
+
 uint64_t WalWriter::end_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return end_lsn_;
 }
 
-uint64_t WalWriter::durable_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return durable_lsn_;
+void WalWriter::AdvanceDurableLocked(uint64_t lsn) {
+  if (lsn > durable_lsn_.load(std::memory_order_relaxed)) {
+    durable_lsn_.store(lsn, std::memory_order_release);
+  }
 }
 
 Status WalWriter::SyncLocked(std::unique_lock<std::mutex>& lk) {
   if (!sticky_.ok()) return sticky_;
   if (file_ == nullptr) return Status::OK();
   // fsync outside the log mutex: statements of other transactions keep
-  // appending (and followers keep enqueuing commit records for the next
+  // appending (and committers keep appending commit records for the next
   // group) while the device flushes. The shared_ptr keeps the segment file
   // alive across a concurrent rotation.
   std::shared_ptr<File> file = file_;
@@ -310,7 +324,7 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>& lk) {
   last_fsync_ns_ = static_cast<uint64_t>(fsync_ns);
   WalMetrics::Get().syncs->Add();
   if (st.ok()) {
-    if (target > durable_lsn_) durable_lsn_ = target;
+    AdvanceDurableLocked(target);
   } else if (st.code() == StatusCode::kIOError) {
     NoteIoFailureLocked(st);
   }
@@ -322,47 +336,26 @@ Status WalWriter::Sync() {
   return SyncLocked(lk);
 }
 
-StatusOr<uint64_t> WalWriter::AppendCommitAndSync(uint64_t txn_id,
-                                                  QueryContext* query) {
+Status WalWriter::WaitDurable(uint64_t lsn) {
+  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return Status::OK();
+  LatencyTimer timer(WalMetrics::Get().durable_wait_ns);
   std::unique_lock<std::mutex> lk(mu_);
-  if (!sticky_.ok()) return sticky_;
-  if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
-
-  CommitWaiter me;
-  me.txn_id = txn_id;
-  commit_queue_.push_back(&me);
-  if (gathering_) commit_cv_.notify_all();
-
-  // Follower: wait until a leader finishes our group, picks our record, or
-  // leaves us to lead. Until a leader picks the record the wait is governed.
-  Status st = GovernedWait(query, commit_cv_, lk, [&] {
-    return me.done || !leader_active_ || me.picked;
+  // Follower: wait for the sync in flight to end. It may not cover `lsn`
+  // (the record was appended after it began); then lead the next one.
+  durable_cv_.wait(lk, [&] {
+    return durable_lsn_.load(std::memory_order_relaxed) >= lsn ||
+           !sync_active_;
   });
-  if (!st.ok()) {
-    // Withdraw: no leader has picked this record yet, so it was never
-    // written — the commit is guaranteed absent after recovery.
-    commit_queue_.erase(
-        std::find(commit_queue_.begin(), commit_queue_.end(), &me));
-    return st;
-  }
-  // A picked record's fate belongs to its leader: wait for the outcome.
-  (void)GovernedWait(nullptr, commit_cv_, lk,
-                     [&] { return me.done || !leader_active_; });
-  if (me.done) {
-    if (!me.status.ok()) return me.status;
-    return me.lsn;
-  }
+  if (durable_lsn_.load(std::memory_order_relaxed) >= lsn) return Status::OK();
+  if (!sticky_.ok()) return sticky_;
 
-  // Leader: drain the queue (everyone queued so far, ourselves included),
-  // append all their commit records, and issue ONE fsync for the batch.
-  leader_active_ = true;
-
-  // Gather window: the committers the previous group just acknowledged are
-  // busy producing their next transactions right now; without a pause the
-  // groups alternate between a batch of one and the pile-up behind it.
-  // Only gather when the last group proved writers are concurrent, and
-  // never longer than half the device's own fsync — a lone committer or a
-  // fast device pays (almost) nothing.
+  // Leader. Gather window: the committers the previous group just
+  // acknowledged are busy producing their next transactions right now;
+  // without a pause the groups alternate between a batch of one and the
+  // pile-up behind it. Only gather when the last group proved writers are
+  // concurrent, and never longer than half the device's own fsync — a lone
+  // committer or a fast device pays (almost) nothing.
+  sync_active_ = true;
   if (last_group_size_ > 1) {
     auto gather = std::min<std::chrono::nanoseconds>(
         kGroupCommitGather, std::chrono::nanoseconds(last_fsync_ns_ / 2));
@@ -370,52 +363,28 @@ StatusOr<uint64_t> WalWriter::AppendCommitAndSync(uint64_t txn_id,
       auto deadline = std::chrono::steady_clock::now() + gather;
       gathering_ = true;
       // Stop early once the cohort the last group proved exists has shown
-      // up; enqueuers notify while gathering_ is set.
-      while (commit_queue_.size() < last_group_size_ &&
+      // up; AppendCommit notifies while gathering_ is set.
+      while (pending_commits_ < last_group_size_ &&
              std::chrono::steady_clock::now() < deadline) {
-        commit_cv_.wait_until(lk, deadline);
+        gather_cv_.wait_until(lk, deadline);
       }
       gathering_ = false;
     }
   }
 
-  std::vector<CommitWaiter*> batch;
-  batch.reserve(commit_queue_.size());
-  for (CommitWaiter* w : commit_queue_) {
-    w->picked = true;
-    batch.push_back(w);
-  }
-  commit_queue_.clear();
-
-  bool any_appended = false;
-  for (CommitWaiter* w : batch) {
-    auto lsn_or = AppendLocked(WalRecordType::kCommit, w->txn_id, {});
-    if (lsn_or.ok()) {
-      w->lsn = *lsn_or;
-      any_appended = true;
-    } else {
-      w->status = lsn_or.status();
-    }
-  }
-
-  // SyncLocked drops the mutex during the fsync; committers arriving in
-  // that window enqueue behind leader_active_ and form the next group —
-  // that pile-up is where sync_batch_size > 1 comes from.
-  Status sync_st;
-  if (any_appended) sync_st = SyncLocked(lk);
-
+  // ONE fsync for every record appended so far. SyncLocked drops the mutex
+  // during the fsync; commit records appended in that window form the next
+  // group — that pile-up is where sync_batch_size > 1 comes from.
+  const size_t group = pending_commits_;
+  pending_commits_ = 0;
+  Status st = SyncLocked(lk);
   WalMetrics::Get().group_commits->Add();
-  WalMetrics::Get().sync_batch_size->Record(batch.size());
-  last_group_size_ = batch.size();
-  for (CommitWaiter* w : batch) {
-    if (w->status.ok() && !sync_st.ok()) w->status = sync_st;
-    w->done = true;
-  }
-  leader_active_ = false;
+  WalMetrics::Get().sync_batch_size->Record(group);
+  last_group_size_ = group;
+  sync_active_ = false;
   lk.unlock();
-  commit_cv_.notify_all();
-  if (!me.status.ok()) return me.status;
-  return me.lsn;
+  durable_cv_.notify_all();
+  return st;
 }
 
 Status WalWriter::RemoveSegmentsBelow(uint64_t lsn) {

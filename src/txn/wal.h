@@ -22,12 +22,12 @@
 // failure in an older segment is real corruption and recovery refuses it.
 // Checkpoints unlink segments wholly below the checkpoint LSN.
 //
-// Commit durability uses group commit: concurrently committing transactions
-// enqueue their commit records and block on a leader/follower handoff. The
-// leader drains the queue, appends every commit record, issues ONE fsync
-// for the whole group and wakes the followers with the durable LSN — so
-// commit throughput scales with writer count instead of flat-lining at the
-// device's fsync rate.
+// Commit durability uses group commit: a committer appends its commit
+// record (AppendCommit), releases its locks, and then waits until the log is
+// durable up to that record (WaitDurable). The first waiter to find no sync
+// in flight leads: it issues ONE fsync covering every record appended so
+// far, while the others wait for its verdict — so commit throughput scales
+// with writer count instead of flat-lining at the device's fsync rate.
 //
 // All I/O goes through the Vfs seam (common/vfs.h); Sync is a real fsync.
 // After the first I/O error the writer latches a sticky failed state (the
@@ -38,17 +38,15 @@
 #ifndef SEDNA_TXN_WAL_H_
 #define SEDNA_TXN_WAL_H_
 
-#include <chrono>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/query_context.h"
 #include "common/status.h"
 #include "common/vfs.h"
 
@@ -113,26 +111,27 @@ class WalWriter {
   StatusOr<uint64_t> Append(WalRecordType type, uint64_t txn_id,
                             std::string_view payload);
 
-  /// Group commit: appends a kCommit record for `txn_id` and blocks until
-  /// it is durable. Concurrent callers form a group — one leader appends
-  /// every queued commit record and issues a single fsync for the batch.
-  /// Returns the commit record's LSN.
-  ///
-  /// If `query` is non-null the wait is governed: a follower whose
-  /// statement is cancelled or past its deadline withdraws — but only
-  /// while its record has not yet been picked by a leader (so withdrawal
-  /// guarantees the commit record was never written). Once picked, the
-  /// verdict of the in-flight fsync is returned; a commit that became
-  /// durable before the cancellation was observed stays committed.
-  StatusOr<uint64_t> AppendCommitAndSync(uint64_t txn_id,
-                                         QueryContext* query = nullptr);
+  /// Appends a kCommit record for `txn_id` without syncing it; returns the
+  /// LSN just past the record (the target to pass to WaitDurable).
+  StatusOr<uint64_t> AppendCommit(uint64_t txn_id);
+
+  /// Group commit: returns once the log is durable up to `lsn`. Returns at
+  /// once, without taking the log mutex, when it already is. Otherwise the
+  /// caller waits while another thread syncs, or leads the next sync: after
+  /// a group of more than one the leader gathers briefly, then ONE fsync
+  /// covers every record appended so far. Not governed — one fsync bounds
+  /// the wait. Once a sync or append has failed, every caller whose `lsn`
+  /// is not durable gets that sticky failure.
+  Status WaitDurable(uint64_t lsn);
 
   /// Next LSN to be written (== logical log size).
   uint64_t end_lsn() const;
 
   /// Highest LSN known durable (advanced by Sync, group commit and
-  /// rotation seals).
-  uint64_t durable_lsn() const;
+  /// rotation seals). A lock-free load.
+  uint64_t durable_lsn() const {
+    return durable_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Durably flushes the log (commit durability point: fsync). Once a sync
   /// or append has failed with an I/O error, every later call returns that
@@ -153,14 +152,6 @@ class WalWriter {
   const std::string& path() const { return path_; }
 
  private:
-  struct CommitWaiter {
-    uint64_t txn_id = 0;
-    bool picked = false;  // a leader has taken ownership of this record
-    bool done = false;
-    Status status;
-    uint64_t lsn = 0;
-  };
-
   StatusOr<uint64_t> AppendLocked(WalRecordType type, uint64_t txn_id,
                                   std::string_view payload);
   Status RotateLocked();
@@ -170,6 +161,8 @@ class WalWriter {
   /// Records an I/O failure: latches the sticky state and fires the
   /// degradation handler.
   void NoteIoFailureLocked(const Status& st);
+  /// Raises durable_lsn_ to `lsn` (never lowers it).
+  void AdvanceDurableLocked(uint64_t lsn);
   Status SyncLocked(std::unique_lock<std::mutex>& lk);
 
   mutable std::mutex mu_;
@@ -180,15 +173,17 @@ class WalWriter {
   WalWriterOptions options_;
   uint64_t segment_start_ = 0;  // start LSN of the active segment
   uint64_t end_lsn_ = 0;
-  uint64_t durable_lsn_ = 0;
+  // Written under mu_; read without it by the WaitDurable fast path.
+  std::atomic<uint64_t> durable_lsn_{0};
   Status sticky_;  // first I/O error; poisons all later appends/syncs
   IoFailureHandler io_failure_handler_;
 
   // Group-commit state, protected by mu_.
-  std::condition_variable commit_cv_;
-  std::deque<CommitWaiter*> commit_queue_;
-  bool leader_active_ = false;
+  std::condition_variable durable_cv_;  // waiters: the leader's sync ended
+  std::condition_variable gather_cv_;   // leader: a commit record arrived
+  bool sync_active_ = false;            // a leader's fsync is in flight
   bool gathering_ = false;
+  size_t pending_commits_ = 0;  // commit records no started sync covers
   size_t last_group_size_ = 0;
   uint64_t last_fsync_ns_ = 0;
 };

@@ -1,15 +1,23 @@
 // Multi-threaded stress tests over the full public API: concurrent writer
 // sessions on disjoint and shared documents, snapshot readers racing with
-// updaters, and a randomized workload validated against a reference model.
+// updaters, a randomized workload validated against a reference model, and
+// the commit point: locks released before the commit record's fsync, with
+// no answer acknowledged before the log that covers it is durable.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <functional>
 #include <thread>
 
+#include "common/fault_vfs.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "db/database.h"
+#include "tests/common/sync_gate_vfs.h"
 
 namespace sedna {
 namespace {
@@ -29,8 +37,67 @@ class ConcurrencyTest : public ::testing::Test {
     db_ = std::move(db).value();
   }
 
+  /// Recreates the database over a fresh gate_ wrapping `base`.
+  void CreateOverGate(Vfs* base) {
+    db_.reset();
+    gate_ = std::make_unique<SyncGateVfs>(base);
+    options_.vfs = gate_.get();
+    auto db = Database::Create(options_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).value();
+  }
+
+  /// Closes the database and reopens it (recovery) over the same vfs.
+  void Reopen() {
+    db_.reset();
+    auto db = Database::Open(options_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).value();
+  }
+
+  /// Creates document `name` holding <r><v>value</v></r>.
+  void MakeDoc(const std::string& name, const std::string& value) {
+    auto s = db_->Connect();
+    ASSERT_TRUE(s->Execute("CREATE DOCUMENT '" + name + "'").ok());
+    ASSERT_TRUE(s->Execute("UPDATE insert <r><v>" + value +
+                           "</v></r> into doc('" + name + "')")
+                    .ok());
+  }
+
+  static std::string SetValue(const std::string& doc,
+                              const std::string& value) {
+    return "UPDATE replace $x in doc('" + doc + "')/r/v with <v>" + value +
+           "</v>";
+  }
+  static std::string GetValue(const std::string& doc) {
+    return "string(doc('" + doc + "')/r/v)";
+  }
+
+  /// Commit records the log holds at or after `from_lsn`.
+  size_t CommitRecordsFrom(uint64_t from_lsn) {
+    auto records = ReadWal(options_.wal_path, from_lsn, options_.vfs);
+    if (!records.ok()) return 0;
+    return static_cast<size_t>(
+        std::count_if(records->begin(), records->end(), [](const WalRecord& r) {
+          return r.type == WalRecordType::kCommit;
+        }));
+  }
+
+  /// Polls `done` for up to five seconds.
+  static bool Eventually(const std::function<bool()>& done) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
   std::string base_;
   DatabaseOptions options_;
+  // Declared before db_, so the database closes before its files' vfs goes.
+  FaultInjectingVfs fault_vfs_;
+  std::unique_ptr<SyncGateVfs> gate_;
   std::unique_ptr<Database> db_;
 };
 
@@ -319,6 +386,174 @@ TEST_F(ConcurrencyTest, RandomizedWorkloadMatchesReferenceModel) {
   auto count = check->Execute("count(doc('w')/r/e)");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->serialized, std::to_string(live));
+}
+
+// Early lock release: a writer releases its document lock at the commit
+// point, before its fsync, so the next writer of the same document runs
+// while that sync is in flight.
+TEST_F(ConcurrencyTest, CommitPointSecondWriterRunsDuringTheFirstFsync) {
+  CreateOverGate(Vfs::Default());
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  auto a = db_->Connect();
+  auto b = db_->Connect();
+
+  gate.BlockSyncs();
+  Status a_st, b_st;
+  std::thread writer_a([&] { a_st = a->Execute(SetValue("d", "a")).status(); });
+  gate.WaitUntilSyncParked();  // A is past its commit point, in its fsync
+  const uint64_t a_end = db_->txns()->wal()->end_lsn();
+  std::thread writer_b([&] { b_st = b->Execute(SetValue("d", "b")).status(); });
+  // B takes the X lock A released and appends its own commit record while
+  // A's sync is still blocked.
+  const bool b_committed =
+      Eventually([&] { return CommitRecordsFrom(a_end) == 1; });
+  gate.UnblockSyncs();
+  writer_a.join();
+  writer_b.join();
+
+  EXPECT_TRUE(b_committed) << "B did not commit during A's fsync";
+  EXPECT_TRUE(a_st.ok()) << a_st.ToString();
+  EXPECT_TRUE(b_st.ok()) << b_st.ToString();
+  auto read = a->Execute(GetValue("d"));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->serialized, "b");
+}
+
+// A reader of a document whose last commit is not yet durable does not
+// return until it is; a reader of another document does not wait at all.
+TEST_F(ConcurrencyTest, CommitPointReaderWaitsOnlyForWhatItRead) {
+  CreateOverGate(Vfs::Default());
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  MakeDoc("e", "1");
+  Counter* reader_waits = MetricsRegistry::Global().counter("wal.reader_waits");
+  const uint64_t waits0 = reader_waits->value();
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+  auto other = db_->Connect();
+
+  gate.BlockSyncs();
+  Status write_st;
+  std::thread writer_thread(
+      [&] { write_st = writer->Execute(SetValue("d", "a")).status(); });
+  gate.WaitUntilSyncParked();
+
+  std::atomic<bool> d_returned{false};
+  StatusOr<QueryResult> d_read = Status::Internal("not run");
+  std::thread reader_thread([&] {
+    d_read = reader->Execute(GetValue("d"));
+    d_returned = true;
+  });
+  // Another document reads at once while the sync is still blocked.
+  auto e_read = other->Execute(GetValue("e"));
+  ASSERT_TRUE(e_read.ok()) << e_read.status().ToString();
+  EXPECT_EQ(e_read->serialized, "1");
+  // The reader of d is parked on the log, not on a lock.
+  EXPECT_TRUE(Eventually([&] { return reader_waits->value() > waits0; }));
+  EXPECT_FALSE(d_returned.load());
+  EXPECT_EQ(reader_waits->value(), waits0 + 1);
+
+  gate.UnblockSyncs();
+  writer_thread.join();
+  reader_thread.join();
+  EXPECT_TRUE(write_st.ok()) << write_st.ToString();
+  ASSERT_TRUE(d_read.ok()) << d_read.status().ToString();
+  EXPECT_EQ(d_read->serialized, "a");
+}
+
+// A sync that fails after the commit point: the committer gets the I/O
+// error, the database degrades, and no reader of the unsynced commit gets
+// an answer. Nothing is rolled back; recovery decides.
+TEST_F(ConcurrencyTest, CommitPointFailedSyncReachesReadersOfThatCommit) {
+  CreateOverGate(&fault_vfs_);
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  MakeDoc("e", "1");
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+
+  gate.BlockSyncs();
+  Status write_st;
+  std::thread writer_thread(
+      [&] { write_st = writer->Execute(SetValue("d", "a")).status(); });
+  gate.WaitUntilSyncParked();
+  // The parked sync is the next counted operation: fail it.
+  fault_vfs_.ScheduleTransientFailureAtOp(fault_vfs_.op_count());
+  gate.UnblockSyncs();
+  writer_thread.join();
+
+  EXPECT_EQ(write_st.code(), StatusCode::kIOError) << write_st.ToString();
+  EXPECT_TRUE(db_->degraded());
+  auto d_read = reader->Execute(GetValue("d"));
+  EXPECT_EQ(d_read.status().code(), StatusCode::kIOError);
+  auto e_read = reader->Execute(GetValue("e"));
+  ASSERT_TRUE(e_read.ok()) << e_read.status().ToString();
+  EXPECT_EQ(e_read->serialized, "1");
+
+  reader.reset();
+  writer.reset();
+  Reopen();
+  auto check = db_->Connect();
+  auto recovered = check->Execute(GetValue("d"));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered->serialized == "0" || recovered->serialized == "a")
+      << recovered->serialized;
+}
+
+// Governance ends at the commit point: a statement cancelled before its
+// commit record is written rolls back; one cancelled while it waits for
+// the fsync of a written record commits.
+TEST_F(ConcurrencyTest, CommitPointGovernance) {
+  CreateOverGate(Vfs::Default());
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  MakeDoc("e", "1");
+  auto creator = db_->Connect();
+  auto leader = db_->Connect();
+  auto follower = db_->Connect();
+
+  // Cancelled while logging its statement, before the commit record.
+  gate.BlockAppends();
+  Status create_st;
+  std::thread create_thread(
+      [&] { create_st = creator->Execute("CREATE DOCUMENT 'z'").status(); });
+  gate.WaitUntilAppendParked();
+  creator->Cancel();
+  gate.UnblockAppends();
+  create_thread.join();
+  EXPECT_EQ(create_st.code(), StatusCode::kCancelled) << create_st.ToString();
+
+  // Cancelled while waiting for the durability of its commit record: as
+  // the sync's leader, and as a follower of it.
+  gate.BlockSyncs();
+  Status leader_st, follower_st;
+  std::thread leader_thread(
+      [&] { leader_st = leader->Execute(SetValue("d", "a")).status(); });
+  gate.WaitUntilSyncParked();
+  const uint64_t leader_end = db_->txns()->wal()->end_lsn();
+  std::thread follower_thread(
+      [&] { follower_st = follower->Execute(SetValue("e", "b")).status(); });
+  EXPECT_TRUE(Eventually([&] { return CommitRecordsFrom(leader_end) == 1; }));
+  leader->Cancel();
+  follower->Cancel();
+  gate.UnblockSyncs();
+  leader_thread.join();
+  follower_thread.join();
+  EXPECT_TRUE(leader_st.ok()) << leader_st.ToString();
+  EXPECT_TRUE(follower_st.ok()) << follower_st.ToString();
+
+  creator.reset();
+  leader.reset();
+  follower.reset();
+  Reopen();
+  auto check = db_->Connect();
+  EXPECT_EQ(check->Execute("doc('z')").status().code(), StatusCode::kNotFound);
+  auto d = check->Execute(GetValue("d"));
+  auto e = check->Execute(GetValue("e"));
+  ASSERT_TRUE(d.ok() && e.ok());
+  EXPECT_EQ(d->serialized, "a");
+  EXPECT_EQ(e->serialized, "b");
 }
 
 }  // namespace

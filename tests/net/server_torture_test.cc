@@ -142,8 +142,8 @@ class ServerTortureTest : public ServerFixture {
           client.reset();
         } else {
           // A server-delivered statement error (cancel, deadline,
-          // admission): the WAL withdraws an unpicked commit, so the
-          // update is durably absent.
+          // admission): a statement cut before its commit record is
+          // written rolls back, so the update is durably absent.
           rec.fate = UpdateRecord::Fate::kErrored;
         }
         updates->push_back(rec);

@@ -17,7 +17,8 @@ class BufferManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "bm_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".sedna";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".sedna";
     ASSERT_TRUE(file_.Create(path_).ok());
     directory_ = std::make_unique<SimplePageDirectory>(&file_);
   }

@@ -14,7 +14,8 @@ class FileManagerTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) {
     return ::testing::TempDir() + "fm_" + name + "_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + ".sedna";
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".sedna";
   }
 };
 

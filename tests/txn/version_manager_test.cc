@@ -115,6 +115,48 @@ TEST_F(VersionManagerTest, VersionsPurgedOnceSnapshotReleased) {
   EXPECT_EQ(versions_->live_version_count(), 1u);
 }
 
+// A released snapshot purges only pages that hold superseded versions:
+// pages written once and already reclaimed lose nothing more.
+TEST_F(VersionManagerTest, SnapshotReleasePurgesOnlyRewrittenPages) {
+  constexpr int kPages = 32;
+  auto write = [&](Xptr page, const ResolveContext& ctx, char value) {
+    auto guard = buffers_->Pin(page, ctx, /*for_write=*/true);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    guard->data()[100] = static_cast<uint8_t>(value);
+    guard->MarkDirty();
+  };
+  std::vector<Xptr> pages;
+  for (int i = 0; i < kPages; ++i) {
+    auto page = directory_->AllocLogicalPage();
+    ASSERT_TRUE(page.ok());
+    pages.push_back(*page);
+    write(*page, ResolveContext{}, 'A');
+  }
+  // Every page written once; the persistent snapshot then moves past the
+  // commit, so no page keeps its pre-write version.
+  versions_->BeginTxn(1, false, 0);
+  for (Xptr page : pages) write(page, TxnCtx(1), 'B');
+  ASSERT_TRUE(versions_->CommitTxn(1, 10).ok());
+  ASSERT_TRUE(versions_->SetPersistentSnapshot(10).ok());
+  const size_t base = versions_->live_version_count();
+  EXPECT_EQ(base, static_cast<size_t>(kPages));
+
+  // One page rewritten under an open snapshot, which pins its old version.
+  versions_->BeginTxn(9, true, 10);
+  versions_->BeginTxn(2, false, 0);
+  write(pages[0], TxnCtx(2), 'C');
+  ASSERT_TRUE(versions_->CommitTxn(2, 11).ok());
+  // Past the rewrite too: only the live reader still pins the old version.
+  ASSERT_TRUE(versions_->SetPersistentSnapshot(11).ok());
+  EXPECT_EQ(versions_->live_version_count(), base + 1);
+
+  Counter* purged = MetricsRegistry::Global().counter("mvcc.versions_purged");
+  const uint64_t purged_before = purged->value();
+  ASSERT_TRUE(versions_->CommitTxn(9, 0).ok());  // release the snapshot
+  EXPECT_EQ(purged->value() - purged_before, 1u);
+  EXPECT_EQ(versions_->live_version_count(), base);
+}
+
 TEST_F(VersionManagerTest, PersistentSnapshotPinsVersions) {
   ASSERT_TRUE(versions_->SetPersistentSnapshot(5).ok());
   versions_->BeginTxn(1, false, 0);

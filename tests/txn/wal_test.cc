@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "common/fault_vfs.h"
 #include "common/metrics.h"
+#include "tests/common/sync_gate_vfs.h"
 #include "txn/transaction.h"
 
 namespace sedna {
@@ -465,7 +465,8 @@ TEST_F(WalTest, TransientFsyncErrorLatchesUntilReopen) {
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.code(), first.code());
   EXPECT_FALSE(writer.Append(WalRecordType::kCommit, 1, "").ok());
-  EXPECT_FALSE(writer.AppendCommitAndSync(1).ok());
+  EXPECT_FALSE(writer.AppendCommit(1).ok());
+  EXPECT_FALSE(writer.WaitDurable(writer.end_lsn()).ok());
 
   // Only Open — the recovery path, which re-reads what is actually durable
   // — clears the latch.
@@ -495,9 +496,9 @@ TEST_F(WalTest, GroupCommitBatchesConcurrentCommitters) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kCommitsPerThread; ++i) {
-        auto lsn = writer.AppendCommitAndSync(
+        auto lsn = writer.AppendCommit(
             static_cast<uint64_t>(t * kCommitsPerThread + i + 1));
-        if (!lsn.ok()) failures.fetch_add(1);
+        if (!lsn.ok() || !writer.WaitDurable(*lsn).ok()) failures.fetch_add(1);
       }
     });
   }
@@ -519,114 +520,100 @@ TEST_F(WalTest, GroupCommitBatchesConcurrentCommitters) {
   EXPECT_LE(syncs->value() - syncs0, groups);
 }
 
-/// Vfs wrapper whose files can hold every fsync at a gate — used to park a
-/// group-commit leader inside its sync deterministically.
-class SyncGateVfs : public Vfs {
- public:
-  StatusOr<std::unique_ptr<File>> Open(const std::string& path,
-                                       OpenMode mode) override {
-    auto file = Vfs::Default()->Open(path, mode);
-    if (!file.ok()) return file.status();
-    return StatusOr<std::unique_ptr<File>>(std::unique_ptr<File>(
-        new GateFile(this, std::move(file).value())));
-  }
-  Status Remove(const std::string& path) override {
-    return Vfs::Default()->Remove(path);
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    return Vfs::Default()->Rename(from, to);
-  }
-  StatusOr<std::vector<std::string>> ListFiles(
-      const std::string& prefix) override {
-    return Vfs::Default()->ListFiles(prefix);
-  }
+TEST_F(WalTest, WaitDurableLoneWaiterLeadsItsOwnSync) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* syncs = reg.counter("wal.syncs");
+  Histogram* waits = reg.histogram("wal.durable_wait_ns");
+  WalWriter writer;
+  ASSERT_TRUE(writer.Open(path_).ok());
 
-  void BlockSyncs() {
-    std::lock_guard<std::mutex> lock(mu_);
-    blocked_ = true;
-  }
-  void UnblockSyncs() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      blocked_ = false;
-    }
-    cv_.notify_all();
-  }
-  void WaitUntilSyncParked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return parked_ > 0; });
-  }
+  auto lsn = writer.AppendCommit(1);
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, writer.end_lsn());  // just past the record
+  EXPECT_LT(writer.durable_lsn(), *lsn);
+  const uint64_t syncs0 = syncs->value();
+  const uint64_t waits0 = waits->count();
+  ASSERT_TRUE(writer.WaitDurable(*lsn).ok());
+  EXPECT_EQ(syncs->value(), syncs0 + 1);
+  EXPECT_EQ(waits->count(), waits0 + 1);
+  EXPECT_EQ(writer.durable_lsn(), *lsn);
 
- private:
-  class GateFile : public File {
-   public:
-    GateFile(SyncGateVfs* vfs, std::unique_ptr<File> base)
-        : vfs_(vfs), base_(std::move(base)) {}
-    Status Read(uint64_t offset, size_t n, void* buf) override {
-      return base_->Read(offset, n, buf);
-    }
-    Status Write(uint64_t offset, const void* data, size_t n) override {
-      return base_->Write(offset, data, n);
-    }
-    Status Append(const void* data, size_t n) override {
-      return base_->Append(data, n);
-    }
-    Status Sync() override {
-      vfs_->ParkIfBlocked();
-      return base_->Sync();
-    }
-    StatusOr<uint64_t> Size() override { return base_->Size(); }
-    Status Truncate(uint64_t size) override { return base_->Truncate(size); }
-    Status Close() override { return base_->Close(); }
+  // Already durable: no sync, no recorded wait.
+  ASSERT_TRUE(writer.WaitDurable(*lsn).ok());
+  EXPECT_EQ(syncs->value(), syncs0 + 1);
+  EXPECT_EQ(waits->count(), waits0 + 1);
+}
 
-   private:
-    SyncGateVfs* vfs_;
-    std::unique_ptr<File> base_;
-  };
-
-  void ParkIfBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!blocked_) return;
-    parked_++;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return !blocked_; });
-    parked_--;
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool blocked_ = false;
-  int parked_ = 0;
-};
-
-TEST_F(WalTest, CancelledFollowerWithdrawsWhileLeaderSyncs) {
+TEST_F(WalTest, WaitDurableCoversConcurrentWaitersWithOneSync) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* syncs = reg.counter("wal.syncs");
+  Histogram* batch = reg.histogram("wal.sync_batch_size");
   SyncGateVfs vfs;
   WalWriter writer(&vfs);
   ASSERT_TRUE(writer.Open(path_).ok());
+  const uint64_t syncs0 = syncs->value();
+  const uint64_t batches0 = batch->count();
+  const uint64_t covered0 = batch->sum();
 
+  // A leader parks inside the sync of the first commit record.
+  auto first = writer.AppendCommit(1);
+  ASSERT_TRUE(first.ok());
   vfs.BlockSyncs();
-  std::thread leader([&] {
-    auto lsn = writer.AppendCommitAndSync(1);
-    EXPECT_TRUE(lsn.ok()) << lsn.status().ToString();
-  });
-  vfs.WaitUntilSyncParked();  // the leader is inside the group fsync
+  std::thread leader([&] { EXPECT_TRUE(writer.WaitDurable(*first).ok()); });
+  vfs.WaitUntilSyncParked();
 
-  // A follower whose statement is already cancelled: no leader has picked
-  // its record (the current leader batched before we enqueued), so it
-  // withdraws and its commit record is guaranteed never written.
-  QueryContext query;
-  query.Cancel();
-  auto withdrawn = writer.AppendCommitAndSync(2, &query);
-  ASSERT_FALSE(withdrawn.ok());
-  EXPECT_EQ(withdrawn.status().code(), StatusCode::kCancelled);
-
+  // Four more commit records arrive while that sync is in flight; their
+  // waiters follow it and then share ONE further sync.
+  constexpr int kWaiters = 4;
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < kWaiters; ++i) {
+    auto lsn = writer.AppendCommit(static_cast<uint64_t>(i + 2));
+    ASSERT_TRUE(lsn.ok());
+    lsns.push_back(*lsn);
+  }
+  std::vector<std::thread> waiters;
+  for (uint64_t lsn : lsns) {
+    waiters.emplace_back([&, lsn] { EXPECT_TRUE(writer.WaitDurable(lsn).ok()); });
+  }
   vfs.UnblockSyncs();
   leader.join();
+  for (auto& t : waiters) t.join();
 
-  auto records = ReadWal(path_);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);  // txn 1 committed; txn 2 absent
-  EXPECT_EQ((*records)[0].txn_id, 1u);
+  EXPECT_EQ(writer.durable_lsn(), writer.end_lsn());
+  EXPECT_EQ(syncs->value(), syncs0 + 2);
+  EXPECT_EQ(batch->count(), batches0 + 2);
+  EXPECT_EQ(batch->sum(), covered0 + 1 + kWaiters);
+}
+
+TEST_F(WalTest, WaitDurableStickyErrorReachesEveryWaiterBelowTheFailedSync) {
+  FaultInjectingVfs fault_vfs;
+  SyncGateVfs vfs(&fault_vfs);
+  WalWriter writer(&vfs);
+  ASSERT_TRUE(writer.Open(path_).ok());
+  auto synced = writer.AppendCommit(1);
+  ASSERT_TRUE(synced.ok());
+  ASSERT_TRUE(writer.WaitDurable(*synced).ok());
+
+  auto low = writer.AppendCommit(2);
+  auto high = writer.AppendCommit(3);
+  ASSERT_TRUE(low.ok() && high.ok());
+  vfs.BlockSyncs();
+  Status leader_st, follower_st;
+  std::thread leader([&] { leader_st = writer.WaitDurable(*high); });
+  vfs.WaitUntilSyncParked();
+  std::thread follower([&] { follower_st = writer.WaitDurable(*low); });
+  // The parked sync is the next counted operation: fail it.
+  fault_vfs.ScheduleTransientFailureAtOp(fault_vfs.op_count());
+  vfs.UnblockSyncs();
+  leader.join();
+  follower.join();
+
+  EXPECT_EQ(leader_st.code(), StatusCode::kIOError);
+  EXPECT_EQ(follower_st.code(), StatusCode::kIOError);
+  EXPECT_EQ(writer.durable_lsn(), *synced);
+  // A commit that was durable before the failure stays acknowledged.
+  EXPECT_TRUE(writer.WaitDurable(*synced).ok());
+  EXPECT_EQ(writer.WaitDurable(*low).code(), StatusCode::kIOError);
 }
 
 // Registry instruments follow WAL activity. Counters are process-global
