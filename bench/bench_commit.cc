@@ -3,8 +3,8 @@
 // Open-loop writer sweep (1/2/4/8 threads) through the full Database/
 // Session autocommit path: every iteration is one small update transaction
 // whose commit must reach the disk before it is acknowledged. Before group
-// commit, N writers paid N fsyncs; with the leader/follower handoff,
-// concurrent commits batch behind a single fsync, so aggregate
+// commit, N writers paid N fsyncs; with WalWriter::WaitDurable, one waiter
+// leads a sync that covers every commit appended so far, so aggregate
 // items_per_second (= commits/sec, summed over threads) should scale with
 // the writer count while wal_syncs stays well below commits.
 //

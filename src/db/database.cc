@@ -302,6 +302,11 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
         SEDNA_LOG(kError) << "autocommit abort failed: "
                           << abort_st.ToString();
       }
+      // The error is an answer too (NotFound after an unsynced DROP
+      // DOCUMENT, say): return it only once the log is durable up to what
+      // the statement read. A failed sync's error replaces it.
+      Status durable = db_->txns()->WaitForReads(txn->get());
+      if (!durable.ok()) return durable;
       return r;
     }
     // A commit cut by governance has already rolled the transaction back

@@ -127,6 +127,18 @@ void LockManager::ReleaseAll(uint64_t txn_id, uint64_t commit_lsn) {
   if (released) cv_.notify_all();
 }
 
+void LockManager::ClearStampsUpTo(uint64_t durable_lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(stamps_, [&](const auto& stamp) {
+    return stamp.second <= durable_lsn;
+  });
+}
+
+size_t LockManager::StampCount() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stamps_.size();
+}
+
 bool LockManager::Holds(uint64_t txn_id, const std::string& resource,
                         LockMode* mode) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -75,6 +75,14 @@ class LockManager {
   /// be durable yet.
   void ReleaseAll(uint64_t txn_id, uint64_t commit_lsn = 0);
 
+  /// Drops every stamp at or below `durable_lsn`: the log is durable up to
+  /// there, so those stamps make no reader wait. Called once a commit is
+  /// durable, so the map holds only stamps of syncs in flight or failed.
+  void ClearStampsUpTo(uint64_t durable_lsn);
+
+  /// Resources currently carrying a stamp (observability/tests).
+  size_t StampCount() const;
+
   /// Mode currently held by the transaction on the resource, if any.
   bool Holds(uint64_t txn_id, const std::string& resource,
              LockMode* mode = nullptr) const;
@@ -97,8 +105,9 @@ class LockManager {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::string, LockState> locks_;
-  // Resource -> end LSN of the last commit that held it exclusively. Kept
-  // apart from locks_, whose entries go when the last holder leaves.
+  // Resource -> end LSN of the last commit that held it exclusively, while
+  // that commit may not be durable. Kept apart from locks_, whose entries
+  // go when the last holder leaves.
   std::map<std::string, uint64_t> stamps_;
   std::chrono::milliseconds default_timeout_;
   double jitter_fraction_ = 0.25;

@@ -158,10 +158,12 @@ Status TransactionManager::Publish(Transaction* txn, uint64_t* commit_lsn) {
   return Status::OK();
 }
 
-Status TransactionManager::WaitForReads(uint64_t read_lsn) {
-  if (wal_ == nullptr || read_lsn <= wal_->durable_lsn()) return Status::OK();
+Status TransactionManager::WaitForReads(const Transaction* txn) {
+  if (wal_ == nullptr || txn->read_lsn_ <= wal_->durable_lsn()) {
+    return Status::OK();
+  }
   m_reader_waits_->Add();
-  return wal_->WaitDurable(read_lsn);
+  return wal_->WaitDurable(txn->read_lsn_);
 }
 
 Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
@@ -170,7 +172,7 @@ Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
   live_transactions_.fetch_sub(1, std::memory_order_acq_rel);
   if (txn->read_only_) {
     SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, 0));
-    return WaitForReads(txn->read_lsn_);
+    return WaitForReads(txn);
   }
   const bool logged = wal_ != nullptr && txn->logged_any_update_;
   // Governance: the last point at which the statement can still be
@@ -198,7 +200,12 @@ Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
   // have read this commit); the committer reports it and recovery decides.
   locks_.ReleaseAll(txn->id_, commit_lsn);
   Status durable = commit_lsn != 0 ? wal_->WaitDurable(commit_lsn)
-                                   : WaitForReads(txn->read_lsn_);
+                                   : WaitForReads(txn);
+  // Stamps the log now covers make no reader wait; only those of syncs in
+  // flight or failed stay.
+  if (commit_lsn != 0 && durable.ok()) {
+    locks_.ClearStampsUpTo(wal_->durable_lsn());
+  }
   // Leave the drain count only now, so a checkpoint still waits for
   // in-flight syncs.
   FinishUpdater(txn);

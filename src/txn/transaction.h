@@ -14,7 +14,8 @@
 //    before the log is durable up to every commit it may have read: a
 //    writer waits for its own commit record, a transaction that logged
 //    nothing for the newest commit stamp on the documents it locked, a
-//    snapshot reader for the newest commit published when it began.
+//    snapshot reader for the newest commit published when it began. A
+//    failed autocommit statement waits the same way after its Abort.
 //  * Checkpoint creates the paper's "persistent snapshot": it drains
 //    active update transactions (new ones are gated at Begin, where they
 //    hold no locks), flushes all committed state, serializes catalog +
@@ -136,7 +137,16 @@ class TransactionManager {
   /// ones, returns only once the log is durable up to what the transaction
   /// read, or returns the log's sticky failure.
   Status Commit(Transaction* txn, QueryContext* query = nullptr);
+  /// Rolls back and releases. An abort acknowledges nothing, so it does
+  /// not wait for the log.
   Status Abort(Transaction* txn);
+
+  /// Waits, ungoverned, until the log is durable up to every commit `txn`
+  /// may have read, counting `wal.reader_waits` when it is not already;
+  /// returns the log's sticky failure if that sync failed. Commit calls it
+  /// for a transaction that logged nothing; a failed autocommit statement
+  /// calls it after its Abort, because its error is an answer too.
+  Status WaitForReads(const Transaction* txn);
 
   /// Persistent snapshot (Section 6.4): drains active update transactions,
   /// flushes + serializes catalog/directory + checkpoint LSN, then unlinks
@@ -185,10 +195,6 @@ class TransactionManager {
   /// publish_mu_. Sets `*commit_lsn` to the end of the commit record once
   /// it is appended.
   Status Publish(Transaction* txn, uint64_t* commit_lsn);
-
-  /// For a transaction that logged nothing: waits until the log is durable
-  /// up to `read_lsn`, counting `wal.reader_waits` when it is not already.
-  Status WaitForReads(uint64_t read_lsn);
 
   StorageEngine* storage_;
   VersionManager* versions_;

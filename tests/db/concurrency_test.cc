@@ -418,6 +418,8 @@ TEST_F(ConcurrencyTest, CommitPointSecondWriterRunsDuringTheFirstFsync) {
   auto read = a->Execute(GetValue("d"));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->serialized, "b");
+  // Both commits are durable: no stamp is left to make a reader wait.
+  EXPECT_EQ(db_->txns()->locks()->StampCount(), 0u);
 }
 
 // A reader of a document whose last commit is not yet durable does not
@@ -499,6 +501,94 @@ TEST_F(ConcurrencyTest, CommitPointFailedSyncReachesReadersOfThatCommit) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->serialized == "0" || recovered->serialized == "a")
       << recovered->serialized;
+}
+
+// An error is an answer too. A statement that fails on what an unsynced
+// commit did — doc('d') after an unsynced DROP DOCUMENT, CREATE DOCUMENT
+// after an unsynced create — returns its error only once that commit is
+// durable: after a crash the document could be back, or gone.
+TEST_F(ConcurrencyTest, CommitPointFailedStatementWaitsForWhatItRead) {
+  CreateOverGate(Vfs::Default());
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  Counter* reader_waits = MetricsRegistry::Global().counter("wal.reader_waits");
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+
+  // Runs `first` until its fsync parks, then `second`, which must wait in
+  // its abort for that fsync; returns both statuses after the unblock.
+  auto race = [&](const std::string& first, const std::string& second) {
+    gate.BlockSyncs();
+    Status first_st, second_st;
+    std::thread first_thread(
+        [&] { first_st = writer->Execute(first).status(); });
+    gate.WaitUntilSyncParked();
+    const uint64_t waits0 = reader_waits->value();
+    std::atomic<bool> second_returned{false};
+    std::thread second_thread([&] {
+      second_st = reader->Execute(second).status();
+      second_returned = true;
+    });
+    EXPECT_TRUE(Eventually([&] { return reader_waits->value() > waits0; }))
+        << second << " did not wait for the log";
+    EXPECT_FALSE(second_returned.load()) << second << " answered early";
+    gate.UnblockSyncs();
+    first_thread.join();
+    second_thread.join();
+    EXPECT_TRUE(first_st.ok()) << first_st.ToString();
+    return second_st;
+  };
+
+  EXPECT_EQ(race("DROP DOCUMENT 'd'", "doc('d')").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(race("CREATE DOCUMENT 'n'", "CREATE DOCUMENT 'n'").code(),
+            StatusCode::kAlreadyExists);
+}
+
+// When that commit's sync fails, the failed statement gets the sticky I/O
+// error, not the error it computed from the unsynced commit.
+TEST_F(ConcurrencyTest, CommitPointFailedSyncReachesFailedStatements) {
+  CreateOverGate(&fault_vfs_);
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  Counter* reader_waits = MetricsRegistry::Global().counter("wal.reader_waits");
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+
+  gate.BlockSyncs();
+  Status drop_st;
+  std::thread drop_thread(
+      [&] { drop_st = writer->Execute("DROP DOCUMENT 'd'").status(); });
+  gate.WaitUntilSyncParked();
+  const uint64_t waits0 = reader_waits->value();
+  std::atomic<bool> read_returned{false};
+  Status read_st;
+  std::thread read_thread([&] {
+    read_st = reader->Execute("doc('d')").status();
+    read_returned = true;
+  });
+  EXPECT_TRUE(Eventually([&] { return reader_waits->value() > waits0; }));
+  EXPECT_FALSE(read_returned.load());
+  // The parked sync is the next counted operation: fail it.
+  fault_vfs_.ScheduleTransientFailureAtOp(fault_vfs_.op_count());
+  gate.UnblockSyncs();
+  drop_thread.join();
+  read_thread.join();
+
+  EXPECT_EQ(drop_st.code(), StatusCode::kIOError) << drop_st.ToString();
+  EXPECT_EQ(read_st.code(), StatusCode::kIOError) << read_st.ToString();
+  EXPECT_TRUE(db_->degraded());
+
+  reader.reset();
+  writer.reset();
+  Reopen();
+  auto check = db_->Connect();
+  auto recovered = check->Execute(GetValue("d"));
+  if (recovered.ok()) {
+    EXPECT_EQ(recovered->serialized, "0");
+  } else {
+    EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
+  }
 }
 
 // Governance ends at the commit point: a statement cancelled before its

@@ -287,5 +287,37 @@ TEST(LockManagerTest, HealthyGovernedAcquireBehavesNormally) {
   EXPECT_TRUE(locks.Holds(3, "doc"));
 }
 
+// A commit stamp reaches the next holder of the resource and goes once the
+// log covers it, so the stamp map does not keep one entry per resource
+// ever written.
+TEST(LockManagerTest, StampsReachTheNextHolderAndClearOnceDurable) {
+  LockManager locks;
+  for (uint64_t txn = 1; txn <= 100; ++txn) {
+    ASSERT_TRUE(
+        locks.Acquire(txn, "doc" + std::to_string(txn), LockMode::kExclusive)
+            .ok());
+    locks.ReleaseAll(txn, /*commit_lsn=*/txn * 10);
+  }
+  EXPECT_EQ(locks.StampCount(), 100u);
+
+  uint64_t stamp = 0;
+  ASSERT_TRUE(locks.Acquire(200, "doc7", LockMode::kShared, nullptr, &stamp)
+                  .ok());
+  EXPECT_EQ(stamp, 70u);
+  locks.ReleaseAll(200);  // a shared holder stamps nothing
+  EXPECT_EQ(locks.StampCount(), 100u);
+
+  locks.ClearStampsUpTo(500);
+  EXPECT_EQ(locks.StampCount(), 50u);
+  stamp = 0;
+  ASSERT_TRUE(locks.Acquire(201, "doc7", LockMode::kShared, nullptr, &stamp)
+                  .ok());
+  EXPECT_EQ(stamp, 0u);  // durable: nothing to wait for
+  locks.ReleaseAll(201);
+
+  locks.ClearStampsUpTo(1000);
+  EXPECT_EQ(locks.StampCount(), 0u);
+}
+
 }  // namespace
 }  // namespace sedna
