@@ -262,6 +262,11 @@ Status TransactionManager::Checkpoint(QueryContext* query) {
     // pinned by the previous one become reclaimable.
     SEDNA_RETURN_IF_ERROR(versions_->SetPersistentSnapshot(clock_.load()));
     if (wal_ != nullptr) {
+      // The log restarts at the checkpoint LSN: the segment sealed here
+      // holds only records the new snapshot covers, so the truncation
+      // below unlinks it whole instead of keeping up to segment_bytes of
+      // them.
+      SEDNA_RETURN_IF_ERROR(wal_->StartSegment());
       SEDNA_RETURN_IF_ERROR(
           wal_->Append(WalRecordType::kCheckpoint, 0, "").status());
       SEDNA_RETURN_IF_ERROR(wal_->Sync());

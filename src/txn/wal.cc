@@ -387,6 +387,14 @@ Status WalWriter::WaitDurable(uint64_t lsn) {
   return st;
 }
 
+Status WalWriter::StartSegment() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!sticky_.ok()) return sticky_;
+  if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
+  if (end_lsn_ == segment_start_) return Status::OK();
+  return RotateLocked();
+}
+
 Status WalWriter::RemoveSegmentsBelow(uint64_t lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");

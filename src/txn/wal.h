@@ -20,7 +20,9 @@
 // is created (tmp file + atomic rename), which yields the recovery
 // invariant: a torn tail can exist only in the newest segment; any parse
 // failure in an older segment is real corruption and recovery refuses it.
-// Checkpoints unlink segments wholly below the checkpoint LSN.
+// A checkpoint starts a new segment at its checkpoint LSN and then unlinks
+// every segment wholly below that LSN, so the log it leaves holds nothing
+// the persistent snapshot already covers.
 //
 // Commit durability uses group commit: a committer appends its commit
 // record (AppendCommit), releases its locks, and then waits until the log is
@@ -137,6 +139,12 @@ class WalWriter {
   /// or append has failed with an I/O error, every later call returns that
   /// sticky failure without touching the file.
   Status Sync();
+
+  /// Seals the active segment (fsync) and starts a new one at end_lsn(),
+  /// unless the active segment holds no record yet. A checkpoint calls it
+  /// while no transaction can append, so the sealed segment ends at the
+  /// checkpoint LSN and RemoveSegmentsBelow unlinks it.
+  Status StartSegment();
 
   /// Unlinks every sealed segment wholly below `lsn` (i.e. whose records
   /// all have lsn < `lsn`), lowest first. Never touches the active segment

@@ -9,6 +9,8 @@
 #include <thread>
 
 #include "common/metrics.h"
+#include "txn/transaction.h"
+#include "txn/wal.h"
 
 namespace sedna {
 namespace {
@@ -357,6 +359,39 @@ TEST_F(DatabaseTest, IncrementalBackupCapturesLaterUpdates) {
   EXPECT_EQ(Exec(rs.get(), "doc('d')/r/w/text()"), "v2");
 }
 
+// A checkpoint restarts the log at its checkpoint LSN: the log it leaves is
+// one segment holding the checkpoint record, however much was logged before
+// it, and what commits after it still replays.
+TEST_F(DatabaseTest, CheckpointLeavesOnlyTheLogPastIt) {
+  auto s = db_->Connect();
+  Exec(s.get(), "CREATE DOCUMENT 'd'");
+  Exec(s.get(), "UPDATE insert <r><v>0</v></r> into doc('d')");
+  for (int i = 1; i <= 20; ++i) {
+    Exec(s.get(), "UPDATE replace $x in doc('d')/r/v with <v>" +
+                      std::to_string(i) + "</v>");
+  }
+  WalWriter* wal = db_->txns()->wal();
+  const uint64_t checkpoint_lsn = wal->end_lsn();
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  auto segments = wal->LiveSegments();
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  ASSERT_EQ(segments->size(), 1u);
+  EXPECT_EQ(segments->front().start_lsn, checkpoint_lsn);
+  auto records = ReadWal(options_.wal_path, checkpoint_lsn);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].type, WalRecordType::kCheckpoint);
+  EXPECT_EQ(std::filesystem::file_size(segments->front().file_path),
+            kWalSegmentHeaderSize + (wal->end_lsn() - checkpoint_lsn));
+
+  Exec(s.get(), "UPDATE replace $x in doc('d')/r/v with <v>after</v>");
+  s.reset();
+  Reopen();
+  EXPECT_EQ(db_->recovered_statements(), 1u);
+  auto rs = db_->Connect();
+  EXPECT_EQ(Exec(rs.get(), "doc('d')/r/v/text()"), "after");
+}
+
 // A backup taken between segment rotations must capture every live segment,
 // and the restored log — whose copied tail may predate later writes — must
 // replay to exactly the backed-up state.
@@ -389,7 +424,7 @@ TEST_F(DatabaseTest, FullBackupSpansRotatedSegmentsAndRestores) {
   ASSERT_TRUE(db->IncrementalBackup(dir).ok());
   // The copied log really is segmented: the incremental picked up the
   // segments rotated since the full backup (whose own checkpoint had
-  // truncated the log down to the active segment).
+  // truncated the log down to the segment it started).
   int segment_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().filename().string().rfind("wal.seg-", 0) == 0) {
@@ -451,6 +486,26 @@ TEST_F(DatabaseTest, IncrementalBackupRefusedAfterTruncation) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   auto rs = (*restored)->Connect();
   EXPECT_EQ(Exec(rs.get(), "doc('d')/r/v/text()"), "refreshed");
+}
+
+// A checkpoint unlinks the whole log below it, so the first checkpoint
+// after logged updates ends the incremental chain even when the log never
+// rotated.
+TEST_F(DatabaseTest, IncrementalBackupRefusedAfterCheckpointOfLoggedUpdates) {
+  auto s = db_->Connect();
+  Exec(s.get(), "CREATE DOCUMENT 'd'");
+  Exec(s.get(), "UPDATE insert <r><v>full</v></r> into doc('d')");
+  std::string dir = base_ + "_backup";
+  ASSERT_TRUE(db_->FullBackup(dir).ok());
+
+  // A checkpoint with nothing logged since the backup keeps the chain.
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  ASSERT_TRUE(db_->IncrementalBackup(dir).ok());
+
+  Exec(s.get(), "UPDATE replace $x in doc('d')/r/v with <v>later</v>");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  Status st = db_->IncrementalBackup(dir);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
 }
 
 // A full backup taken while writers keep committing stays internally

@@ -444,6 +444,40 @@ TEST_F(WalTest, RemoveSegmentsBelowRespectsBoundaries) {
   EXPECT_EQ(stale.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(WalTest, StartSegmentSealsTheActiveSegmentUnlessEmpty) {
+  Counter* rotations = MetricsRegistry::Global().counter("wal.rotations");
+  const uint64_t rotations0 = rotations->value();
+  WalWriter writer;
+  ASSERT_TRUE(writer.Open(path_).ok());
+
+  // An empty active segment stays: a second file at the same LSN would
+  // have its name.
+  ASSERT_TRUE(writer.StartSegment().ok());
+  EXPECT_EQ(rotations->value(), rotations0);
+
+  ASSERT_TRUE(writer.Append(WalRecordType::kBegin, 1, "a").ok());
+  ASSERT_TRUE(writer.Append(WalRecordType::kCommit, 1, "").ok());
+  const uint64_t end = writer.end_lsn();
+  ASSERT_TRUE(writer.StartSegment().ok());
+  EXPECT_EQ(rotations->value() - rotations0, 1u);
+  EXPECT_EQ(writer.durable_lsn(), end);  // the seal synced the old segment
+  auto segments = writer.LiveSegments();
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 2u);
+  EXPECT_EQ(segments->back().start_lsn, end);
+
+  // The sealed segment lies wholly below `end`, so it goes whole.
+  ASSERT_TRUE(writer.RemoveSegmentsBelow(end).ok());
+  EXPECT_FALSE(std::filesystem::exists(Seg(0)));
+  ASSERT_TRUE(writer.Append(WalRecordType::kCheckpoint, 0, "").ok());
+  ASSERT_TRUE(writer.Close().ok());
+  auto records = ReadWal(path_, end);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].type, WalRecordType::kCheckpoint);
+  EXPECT_EQ((*records)[0].lsn, end);
+}
+
 // --- sticky failure latch (fsyncgate) ---------------------------------------
 
 TEST_F(WalTest, TransientFsyncErrorLatchesUntilReopen) {
