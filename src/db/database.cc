@@ -184,7 +184,8 @@ Status Database::Checkpoint() {
 Status Database::CheckConsistency() {
   // Each document's sweep covers its index trees: B+tree structure plus
   // resolution of every stored handle through its indirection table.
-  return storage_->CheckConsistency();
+  SEDNA_RETURN_IF_ERROR(storage_->CheckConsistency());
+  return storage_->file()->CheckFreeList(versions_->LivePages());
 }
 
 Status Database::FullBackup(const std::string& dir) {
@@ -303,9 +304,10 @@ StatusOr<QueryResult> Session::Execute(const std::string& statement,
                           << abort_st.ToString();
       }
       // The error is an answer too (NotFound after an unsynced DROP
-      // DOCUMENT, say): return it only once the log is durable up to what
-      // the statement read. A failed sync's error replaces it.
-      Status durable = db_->txns()->WaitForReads(txn->get());
+      // DOCUMENT or DROP INDEX, say): return it only once the log is
+      // durable up to every commit published before it. A failed sync's
+      // error replaces it.
+      Status durable = db_->txns()->WaitForPublished();
       if (!durable.ok()) return durable;
       return r;
     }

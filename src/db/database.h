@@ -87,9 +87,9 @@ class Database {
 
   /// Deep offline-style consistency sweep (CHECK DATABASE): validates every
   /// document's page chains, slot chains, indirection cross-references and
-  /// index trees. Intended to run while no update transactions are active
-  /// (e.g. right after recovery); reads the latest committed version of
-  /// each page.
+  /// index trees, and the free list (FileManager::CheckFreeList). Intended
+  /// to run while no update transactions are active (e.g. right after
+  /// recovery); reads the latest committed version of each page.
   Status CheckConsistency();
 
   /// Hot backups (Section 6.5).

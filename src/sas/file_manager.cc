@@ -12,18 +12,30 @@ namespace sedna {
 namespace {
 
 constexpr uint32_t kMasterMagic = 0x5ed0a010;
-constexpr uint32_t kFreeMagic = 0x5edafeee;
+// Data-file format, first in the master payload. Format 1 (a 40-byte
+// payload without it) kept the free list in stamped free pages.
+constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormat1PayloadSize = 40;
 
 constexpr int kIoRetries = 3;
 constexpr int kIoBackoffMs = 1;
+
+// Each meta-blob chain page: next(4) total_len(8, head only) payload.
+constexpr size_t kChainHeaderSize = 12;
+constexpr size_t kChainPayload = kPageSize - kChainHeaderSize;
+
+size_t ChainPagesFor(size_t bytes) {
+  return (bytes + kChainPayload - 1) / kChainPayload;
+}
 
 // Serialized master record layout inside a master page:
 //   magic, crc, payload_len, payload
 std::string EncodeMaster(const MasterRecord& m) {
   std::string payload;
+  PutFixed32(&payload, kFormatVersion);
   PutFixed64(&payload, m.sequence);
   PutFixed32(&payload, m.page_count);
-  PutFixed32(&payload, m.free_list_head);
+  PutFixed32(&payload, m.free_list_blob);
   PutFixed32(&payload, m.directory_blob);
   PutFixed32(&payload, m.catalog_blob);
   PutFixed64(&payload, m.checkpoint_lsn);
@@ -38,61 +50,28 @@ std::string EncodeMaster(const MasterRecord& m) {
   return page;
 }
 
-bool DecodeMaster(const char* page, MasterRecord* m) {
+// Returns the format version of the intact master record in `page`, or 0
+// if the page holds none. `m` is filled only for kFormatVersion.
+uint32_t DecodeMaster(const char* page, MasterRecord* m) {
   Decoder header(std::string_view(page, kPageSize));
   uint32_t magic = 0, crc = 0, len = 0;
-  if (!header.GetFixed32(&magic) || magic != kMasterMagic) return false;
-  if (!header.GetFixed32(&crc) || !header.GetFixed32(&len)) return false;
-  if (len > kPageSize - 12) return false;
+  if (!header.GetFixed32(&magic) || magic != kMasterMagic) return 0;
+  if (!header.GetFixed32(&crc) || !header.GetFixed32(&len)) return 0;
+  if (len > kPageSize - 12) return 0;
   const char* payload = page + 12;
-  if (Crc32(payload, len) != crc) return false;
+  if (Crc32(payload, len) != crc) return 0;
+  if (len == kFormat1PayloadSize) return 1;
   Decoder d(std::string_view(payload, len));
-  uint32_t flh = 0, dirb = 0, catb = 0;
+  uint32_t format = 0;
+  if (!d.GetFixed32(&format)) return 0;
+  if (format != kFormatVersion) return format;
   bool ok = d.GetFixed64(&m->sequence) && d.GetFixed32(&m->page_count) &&
-            d.GetFixed32(&flh) && d.GetFixed32(&dirb) && d.GetFixed32(&catb) &&
+            d.GetFixed32(&m->free_list_blob) &&
+            d.GetFixed32(&m->directory_blob) &&
+            d.GetFixed32(&m->catalog_blob) &&
             d.GetFixed64(&m->checkpoint_lsn) &&
             d.GetFixed64(&m->next_timestamp);
-  if (!ok) return false;
-  m->free_list_head = flh;
-  m->directory_blob = dirb;
-  m->catalog_blob = catb;
-  return true;
-}
-
-// Free pages carry a stamped, CRC-protected link plus the master-record
-// sequence ("epoch") current when the page was freed. The stamp guards two
-// distinct crash hazards at allocation time: a head whose stamp was
-// overwritten by live data (magic/self/CRC fails), and a stamp written
-// AFTER the recovered master became durable — a page the dead incarnation
-// popped and re-freed, whose unsynced stamp happened to survive a torn
-// crash. Such a stamp is internally valid but its next link describes a
-// newer free list the recovered master knows nothing about; following it
-// hands out pages that are live — or out of bounds — in the recovered
-// image. Those stale stamps always carry epoch == the recovered master's
-// sequence (the sequence only advances at master writes, and a completed
-// master write would itself have been the recovery target), so equality is
-// the rejection test.
-//   [kFreeMagic(4)][next(4)][self ppn(4)][epoch(8)][crc over next+self+epoch]
-void EncodeFreePage(char* buf, PhysPageId self, PhysPageId next,
-                    uint64_t epoch) {
-  std::memset(buf, 0, kPageSize);
-  std::string header;
-  PutFixed32(&header, kFreeMagic);
-  PutFixed32(&header, next);
-  PutFixed32(&header, self);
-  PutFixed64(&header, epoch);
-  PutFixed32(&header, Crc32(header.data() + 4, 16));
-  std::memcpy(buf, header.data(), header.size());
-}
-
-bool DecodeFreePage(const char* buf, PhysPageId self, PhysPageId* next,
-                    uint64_t* epoch) {
-  if (DecodeFixed32(buf) != kFreeMagic) return false;
-  if (DecodeFixed32(buf + 8) != self) return false;
-  if (DecodeFixed32(buf + 20) != Crc32(buf + 4, 16)) return false;
-  *next = DecodeFixed32(buf + 4);
-  *epoch = DecodeFixed64(buf + 12);
-  return true;
+  return ok ? format : 0;
 }
 
 }  // namespace
@@ -142,18 +121,22 @@ Status FileManager::RetryIo(bool is_write, const std::function<Status()>& op) {
   return st;
 }
 
-Status FileManager::Create(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
+Status FileManager::OpenFileLocked(const std::string& path, OpenMode mode) {
   if (file_ != nullptr) {
     return Status::FailedPrecondition("file manager already open");
   }
-  auto opened = vfs_->Open(path, OpenMode::kCreate);
-  if (!opened.ok()) return opened.status();
-  file_ = std::move(opened).value();
+  SEDNA_ASSIGN_OR_RETURN(file_, vfs_->Open(path, mode));
   path_ = path;
-  master_ = MasterRecord{};
+  master_ = MasterRecord{};  // page_count=2 so the slot reads are in bounds
+  free_.clear();
+  free_chain_.clear();
   fail_fast_ = false;
-  stale_free_epoch_ = 0;  // fresh file: no dead incarnation to distrust
+  return Status::OK();
+}
+
+Status FileManager::Create(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SEDNA_RETURN_IF_ERROR(OpenFileLocked(path, OpenMode::kCreate));
   // Write both master slots so Open never sees garbage (each write bumps
   // the sequence, so the two land in alternating slots).
   Status st = WriteMasterLocked();
@@ -163,16 +146,16 @@ Status FileManager::Create(const std::string& path) {
 
 Status FileManager::Open(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("file manager already open");
+  SEDNA_RETURN_IF_ERROR(OpenFileLocked(path, OpenMode::kReadWrite));
+  Status st = LoadLocked();
+  if (!st.ok()) {
+    file_->Close();
+    file_.reset();
   }
-  auto opened = vfs_->Open(path, OpenMode::kReadWrite);
-  if (!opened.ok()) return opened.status();
-  file_ = std::move(opened).value();
-  path_ = path;
-  master_ = MasterRecord{};  // page_count=2 so the slot reads are in bounds
-  fail_fast_ = false;
+  return st;
+}
 
+Status FileManager::LoadLocked() {
   char buf[kPageSize];
   MasterRecord best;
   bool found = false;
@@ -180,18 +163,20 @@ Status FileManager::Open(const std::string& path) {
   for (PhysPageId slot = 0; slot < 2; ++slot) {
     if (!ReadPageLocked(slot, buf).ok()) continue;
     MasterRecord m;
-    if (!DecodeMaster(buf, &m)) continue;
+    uint32_t format = DecodeMaster(buf, &m);
+    if (format == 0) continue;
+    if (format != kFormatVersion) {
+      return Status::Corruption(
+          path_ + " is in on-disk format " + std::to_string(format) +
+          "; this build reads format " + std::to_string(kFormatVersion));
+    }
     slot_valid[slot] = true;
     if (!found || m.sequence > best.sequence) {
       best = m;
       found = true;
     }
   }
-  if (!found) {
-    file_->Close();
-    file_.reset();
-    return Status::Corruption("no valid master record in " + path);
-  }
+  if (!found) return Status::Corruption("no valid master record in " + path_);
   master_ = best;
   for (PhysPageId slot = 0; slot < 2; ++slot) {
     if (slot_valid[slot]) continue;
@@ -202,42 +187,21 @@ Status FileManager::Open(const std::string& path) {
     if (repair.ok()) repair = SyncLocked();
     if (repair.ok()) {
       SEDNA_LOG(kWarning) << "repaired corrupt master slot " << slot << " in "
-                         << path;
+                         << path_;
     } else {
       SEDNA_LOG(kWarning) << "failed to repair master slot " << slot << " in "
-                         << path << ": " << repair.ToString();
+                         << path_ << ": " << repair.ToString();
     }
   }
-  // The free list inherited from the recovered master may start with a
-  // stamp the dead incarnation wrote after this master became durable (see
-  // EncodeFreePage). Only the head needs checking: pushes prepend, so every
-  // deeper stamp in a chain with a clean head is older than the head. The
-  // check must happen here, not lazily at allocation, because the sequence
-  // bump below re-persists the master — carrying an unvalidated head into
-  // it would launder the stale stamp past the next recovery's epoch test.
-  stale_free_epoch_ = master_.sequence;
-  if (master_.free_list_head != kInvalidPhysPage) {
-    PhysPageId head = master_.free_list_head;
-    PhysPageId next = kInvalidPhysPage;
-    uint64_t epoch = 0;
-    bool trusted = head < master_.page_count &&
-                   ReadPageLocked(head, buf).ok() &&
-                   DecodeFreePage(buf, head, &next, &epoch) &&
-                   epoch < master_.sequence;
-    if (!trusted) {
-      SEDNA_LOG(kWarning) << "free-list head page " << head
-                         << " is stale after crash; abandoning free list";
-      master_.free_list_head = kInvalidPhysPage;
+  std::string list;
+  SEDNA_RETURN_IF_ERROR(
+      ReadChainLocked(master_.free_list_blob, &list, &free_chain_));
+  Decoder d(list);
+  for (PhysPageId ppn = 0; d.GetFixed32(&ppn);) {
+    if (!FreePageLocked(ppn).ok()) {
+      return Status::Corruption("saved free list names page " +
+                                std::to_string(ppn));
     }
-  }
-  // Bump the sequence durably: stamps written by this incarnation carry an
-  // epoch strictly above anything the dead incarnation could have left
-  // behind, so the staleness test never rejects a live free.
-  Status bump = WriteMasterLocked();
-  if (!bump.ok()) {
-    file_->Close();
-    file_.reset();
-    return bump;
   }
   return Status::OK();
 }
@@ -313,29 +277,10 @@ StatusOr<PhysPageId> FileManager::AllocPage() {
 
 StatusOr<PhysPageId> FileManager::AllocPageLocked() {
   if (file_ == nullptr) return Status::FailedPrecondition("file not open");
-  if (master_.free_list_head != kInvalidPhysPage) {
-    PhysPageId ppn = master_.free_list_head;
-    PhysPageId next = kInvalidPhysPage;
-    uint64_t epoch = 0;
-    char buf[kPageSize];
-    bool trusted = ppn < master_.page_count;
-    if (trusted) {
-      SEDNA_RETURN_IF_ERROR(ReadPageLocked(ppn, buf));
-      trusted = DecodeFreePage(buf, ppn, &next, &epoch) &&
-                epoch != stale_free_epoch_;
-    }
-    if (trusted) {
-      master_.free_list_head = next;
-      return ppn;
-    }
-    // The head does not carry a trustworthy free stamp: either the page was
-    // reused and overwritten (a crash reverted to a master whose head was
-    // since recycled), or the stamp postdates the recovered master (see
-    // EncodeFreePage). Leaking the chain is safe; handing out a live page
-    // is not.
-    SEDNA_LOG(kWarning) << "free-list head page " << ppn
-                       << " failed validation; abandoning free list";
-    master_.free_list_head = kInvalidPhysPage;
+  if (!free_.empty()) {
+    PhysPageId ppn = free_.back();
+    free_.pop_back();
+    return ppn;
   }
   PhysPageId ppn = master_.page_count;
   master_.page_count++;
@@ -360,16 +305,13 @@ Status FileManager::FreePageLocked(PhysPageId ppn) {
     return Status::InvalidArgument("free of invalid page " +
                                    std::to_string(ppn));
   }
-  char buf[kPageSize];
-  EncodeFreePage(buf, ppn, master_.free_list_head, master_.sequence);
-  SEDNA_RETURN_IF_ERROR(WritePageLocked(ppn, buf));
-  master_.free_list_head = ppn;
+  free_.push_back(ppn);
   return Status::OK();
 }
 
-uint32_t FileManager::page_count() const {
+std::vector<PhysPageId> FileManager::FreePages() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return master_.page_count;
+  return free_;
 }
 
 MasterRecord FileManager::master() const {
@@ -379,9 +321,11 @@ MasterRecord FileManager::master() const {
 
 void FileManager::set_master(const MasterRecord& m) {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t seq = master_.sequence;
+  MasterRecord owned = master_;
   master_ = m;
-  master_.sequence = seq;
+  master_.sequence = owned.sequence;
+  master_.page_count = owned.page_count;
+  master_.free_list_blob = owned.free_list_blob;
 }
 
 Status FileManager::WriteMaster() {
@@ -390,88 +334,125 @@ Status FileManager::WriteMaster() {
 }
 
 Status FileManager::WriteMasterLocked() {
-  master_.sequence++;
-  std::string page = EncodeMaster(master_);
-  PhysPageId slot = master_.sequence % 2;
-  SEDNA_RETURN_IF_ERROR(WritePageLocked(slot, page.data()));
-  // The master write is the commit point of a checkpoint: it must be
-  // durable, not merely flushed, before callers free superseded pages.
-  return SyncLocked();
+  // The list this master saves: the free pages, then the chain the current
+  // master saved its list in (free once this master is durable), minus the
+  // pages taken from the list to hold it.
+  std::vector<PhysPageId> chain;
+  while (ChainPagesFor(4 * (free_.size() + free_chain_.size())) >
+         chain.size()) {
+    SEDNA_ASSIGN_OR_RETURN(PhysPageId ppn, AllocPageLocked());
+    chain.push_back(ppn);
+  }
+  std::string list;
+  for (PhysPageId ppn : free_) PutFixed32(&list, ppn);
+  for (PhysPageId ppn : free_chain_) PutFixed32(&list, ppn);
+  MasterRecord next = master_;
+  next.sequence++;
+  SEDNA_ASSIGN_OR_RETURN(next.free_list_blob, WriteChainLocked(list, chain));
+  // The master write is the commit point of a checkpoint: the chains it
+  // points at and the flushed pages must be durable before it (a disk may
+  // persist writes in any order), and it before superseded pages are freed.
+  // On failure master_ stays the last master written, so a retry goes to
+  // the same slot and never overwrites the newest durable one.
+  SEDNA_RETURN_IF_ERROR(SyncLocked());
+  std::string page = EncodeMaster(next);
+  SEDNA_RETURN_IF_ERROR(WritePageLocked(next.sequence % 2, page.data()));
+  SEDNA_RETURN_IF_ERROR(SyncLocked());
+  master_ = next;
+  free_.insert(free_.end(), free_chain_.begin(), free_chain_.end());
+  free_chain_ = std::move(chain);
+  return Status::OK();
+}
+
+StatusOr<PhysPageId> FileManager::WriteChainLocked(
+    const std::string& blob, const std::vector<PhysPageId>& pages) {
+  for (size_t i = 0; i < pages.size(); ++i) {
+    std::string page;
+    PutFixed32(&page, i + 1 < pages.size() ? pages[i + 1] : kInvalidPhysPage);
+    PutFixed64(&page, blob.size());
+    page.append(blob, i * kChainPayload, kChainPayload);
+    page.resize(kPageSize, '\0');
+    SEDNA_RETURN_IF_ERROR(WritePageLocked(pages[i], page.data()));
+  }
+  return pages.empty() ? kInvalidPhysPage : pages.front();
+}
+
+Status FileManager::ReadChainLocked(PhysPageId head, std::string* blob,
+                                    std::vector<PhysPageId>* pages) {
+  blob->clear();
+  char buf[kPageSize];
+  uint64_t total = 0;
+  for (PhysPageId cur = head; cur != kInvalidPhysPage;) {
+    SEDNA_RETURN_IF_ERROR(ReadPageLocked(cur, buf));
+    if (cur == head && blob->empty()) {
+      total = DecodeFixed64(buf + 4);
+      // Every chain page is a page of the file: a longer blob is garbage.
+      if (total > uint64_t{master_.page_count} * kChainPayload) {
+        return Status::Corruption("meta blob too long at page " +
+                                  std::to_string(head));
+      }
+      blob->reserve(total);
+    }
+    if (pages != nullptr) pages->push_back(cur);
+    blob->append(buf + kChainHeaderSize,
+                 std::min<uint64_t>(kChainPayload, total - blob->size()));
+    if (blob->size() == total) return Status::OK();
+    cur = DecodeFixed32(buf);
+  }
+  return blob->size() == total ? Status::OK()
+                               : Status::Corruption("meta blob chain truncated");
 }
 
 StatusOr<PhysPageId> FileManager::WriteMetaBlob(const std::string& blob) {
   std::lock_guard<std::mutex> lock(mu_);
-  char buf[kPageSize];
-  // Each chain page: next(4) total_len(8, head only meaningful) payload.
-  constexpr size_t kHeaderSize = 12;
-  constexpr size_t kPayloadPerPage = kPageSize - kHeaderSize;
-  size_t offset = 0;
-  PhysPageId head = kInvalidPhysPage;
-  PhysPageId prev = kInvalidPhysPage;
-  char prev_buf[kPageSize];
-  do {
+  std::vector<PhysPageId> pages;
+  for (size_t i = ChainPagesFor(blob.size()); i > 0; --i) {
     SEDNA_ASSIGN_OR_RETURN(PhysPageId ppn, AllocPageLocked());
-    size_t chunk = std::min(kPayloadPerPage, blob.size() - offset);
-    std::memset(buf, 0, sizeof(buf));
-    // next link filled in when the following page is allocated
-    std::string header;
-    PutFixed32(&header, kInvalidPhysPage);
-    PutFixed64(&header, blob.size());
-    std::memcpy(buf, header.data(), kHeaderSize);
-    std::memcpy(buf + kHeaderSize, blob.data() + offset, chunk);
-    if (prev != kInvalidPhysPage) {
-      // Patch previous page's next pointer.
-      std::string link;
-      PutFixed32(&link, ppn);
-      std::memcpy(prev_buf, link.data(), 4);
-      SEDNA_RETURN_IF_ERROR(WritePageLocked(prev, prev_buf));
-    } else {
-      head = ppn;
-    }
-    std::memcpy(prev_buf, buf, kPageSize);
-    SEDNA_RETURN_IF_ERROR(WritePageLocked(ppn, buf));
-    prev = ppn;
-    offset += chunk;
-  } while (offset < blob.size());
-  return head;
+    pages.push_back(ppn);
+  }
+  return WriteChainLocked(blob, pages);
 }
 
 Status FileManager::FreeMetaBlob(PhysPageId head) {
   std::lock_guard<std::mutex> lock(mu_);
-  PhysPageId cur = head;
-  char buf[kPageSize];
-  while (cur != kInvalidPhysPage) {
-    SEDNA_RETURN_IF_ERROR(ReadPageLocked(cur, buf));
-    PhysPageId next = DecodeFixed32(buf);
-    SEDNA_RETURN_IF_ERROR(FreePageLocked(cur));
-    cur = next;
-  }
+  std::string blob;
+  std::vector<PhysPageId> pages;
+  SEDNA_RETURN_IF_ERROR(ReadChainLocked(head, &blob, &pages));
+  for (PhysPageId ppn : pages) SEDNA_RETURN_IF_ERROR(FreePageLocked(ppn));
   return Status::OK();
 }
 
 StatusOr<std::string> FileManager::ReadMetaBlob(PhysPageId head) {
   std::lock_guard<std::mutex> lock(mu_);
-  constexpr size_t kHeaderSize = 12;
-  constexpr size_t kPayloadPerPage = kPageSize - kHeaderSize;
-  if (head == kInvalidPhysPage) return std::string();
-  char buf[kPageSize];
-  SEDNA_RETURN_IF_ERROR(ReadPageLocked(head, buf));
-  uint64_t total = DecodeFixed64(buf + 4);
   std::string blob;
-  blob.reserve(total);
-  PhysPageId cur = head;
-  while (blob.size() < total) {
-    if (cur != head) {
-      SEDNA_RETURN_IF_ERROR(ReadPageLocked(cur, buf));
-    }
-    size_t chunk = std::min(kPayloadPerPage, total - blob.size());
-    blob.append(buf + kHeaderSize, chunk);
-    cur = DecodeFixed32(buf);
-    if (cur == kInvalidPhysPage && blob.size() < total) {
-      return Status::Corruption("meta blob chain truncated");
-    }
-  }
+  SEDNA_RETURN_IF_ERROR(ReadChainLocked(head, &blob));
   return blob;
+}
+
+Status FileManager::CheckFreeList(const std::vector<PhysPageId>& in_use) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Why each page cannot be free; empty while it can.
+  std::vector<const char*> taken(master_.page_count, "");
+  taken[0] = taken[1] = "is a master slot";
+  for (PhysPageId ppn : in_use) {
+    if (ppn < taken.size()) taken[ppn] = "is mapped or held as a version";
+  }
+  std::string blob;
+  std::vector<PhysPageId> chains;
+  for (PhysPageId head : {master_.directory_blob, master_.catalog_blob,
+                          master_.free_list_blob}) {
+    SEDNA_RETURN_IF_ERROR(ReadChainLocked(head, &blob, &chains));
+  }
+  for (PhysPageId ppn : chains) taken[ppn] = "holds a master chain";
+  for (PhysPageId ppn : free_) {
+    const char* why = ppn < taken.size() ? taken[ppn] : "is past the end";
+    if (*why != '\0') {
+      return Status::Corruption("free page " + std::to_string(ppn) + " " +
+                                why);
+    }
+    taken[ppn] = "is listed twice";
+  }
+  return Status::OK();
 }
 
 Status FileManager::Sync() {

@@ -3,19 +3,18 @@
 // Page 0 and page 1 hold two copies of the master record (double-slot,
 // sequence-numbered, CRC-protected) so that master updates are atomic: the
 // newest valid slot wins, and Open repairs a corrupted slot from the
-// survivor. All other pages are allocated/freed through a free list whose
-// on-disk links are stamped, CRC-protected and tagged with the master
-// sequence at free time, so a stale head left by a crash — a reused page,
-// or a re-freed page whose unsynced stamp survived a torn crash — is
-// detected instead of handing out a live page. Open bumps the sequence
-// durably so the new incarnation's stamps are distinguishable from the dead
-// one's. The file manager
-// also provides a "meta blob" facility used to persist the page directory
-// and catalog across restarts: a blob is written into a chain of freshly
-// allocated pages and the chain head is recorded in the master record.
-// Freeing a superseded chain is the caller's job (FreeMetaBlob) and must
-// happen only after the new master is durable, or a crash between the two
-// would leave the durable master pointing at recycled pages.
+// survivor. Other pages come from an in-memory LIFO free list (no I/O) or
+// from growing the file. Each master write saves the list in a chain of
+// pages taken from the list itself. That suffices: recovery restores the
+// persistent snapshot the master describes, no page it reaches is freed
+// until a checkpoint replaces it, and writes are copy-on-write, so no page
+// handed out since is one it reaches (DESIGN §6).
+//
+// The page directory and catalog persist in the same "meta blob" chains,
+// whose heads the master records. A superseded chain is freed only after
+// the master replacing it is durable, or a crash could leave that master
+// pointing at recycled pages (WriteMaster frees the free list's own chain,
+// FreeMetaBlob the others).
 //
 // All I/O goes through the Vfs seam (common/vfs.h). Transient I/O errors
 // are retried with bounded backoff; when retries are exhausted on the
@@ -44,7 +43,9 @@ namespace sedna {
 struct MasterRecord {
   uint64_t sequence = 0;          // bumped on every master write
   uint32_t page_count = 2;        // physical pages in the file (incl. masters)
-  PhysPageId free_list_head = kInvalidPhysPage;
+  // Chain holding the free list saved with this master. set_master keeps
+  // it, `sequence` and `page_count`: the file manager owns all three.
+  PhysPageId free_list_blob = kInvalidPhysPage;
   PhysPageId directory_blob = kInvalidPhysPage;  // page-directory snapshot
   PhysPageId catalog_blob = kInvalidPhysPage;    // storage catalog snapshot
   uint64_t checkpoint_lsn = 0;    // WAL position of the persistent snapshot
@@ -81,11 +82,10 @@ class FileManager {
   /// initial master record.
   Status Create(const std::string& path);
 
-  /// Opens an existing database file and loads the newest valid master.
-  /// If one master slot is corrupt and the other valid, the corrupt slot is
-  /// rewritten from the survivor. Abandons a free list whose head stamp is
-  /// untrustworthy after a crash, then durably bumps the master sequence so
-  /// this incarnation's free stamps carry a fresh epoch.
+  /// Opens an existing database file and loads the newest valid master and
+  /// its free list. If one master slot is corrupt and the other valid, the
+  /// corrupt slot is rewritten from the survivor. A file in another on-disk
+  /// format is refused with a kCorruption that names the format.
   Status Open(const std::string& path);
 
   Status Close();
@@ -100,27 +100,30 @@ class FileManager {
   /// calls overlap their I/O (positioned write outside the mutex).
   Status WritePage(PhysPageId ppn, const void* buf);
 
-  /// Allocates a physical page (reusing the free list, else growing the
-  /// file). The page contents are undefined until written.
+  /// Allocates a physical page (the last one freed, else growing the file).
+  /// The page contents are undefined until written.
   StatusOr<PhysPageId> AllocPage();
 
   /// Returns `ppn` to the free list.
   Status FreePage(PhysPageId ppn);
 
-  /// Number of physical pages currently in the file.
-  uint32_t page_count() const;
+  /// The in-memory free list, oldest entry first (AllocPage takes the last).
+  std::vector<PhysPageId> FreePages() const;
 
-  /// Current in-memory master record (mutable fields are updated by the
-  /// caller before WriteMaster).
+  /// Current in-memory master record (the caller updates its fields before
+  /// WriteMaster).
   MasterRecord master() const;
   void set_master(const MasterRecord& m);
 
-  /// Persists the master record atomically (alternating slot) and syncs.
+  /// Saves the free list and persists the master record atomically
+  /// (alternating slot). Everything written before the call is durable
+  /// before the master is written, and the master before it returns.
   Status WriteMaster();
 
   /// Writes `blob` into a chain of freshly allocated pages; returns the head
-  /// page. Does NOT free any previous chain — call FreeMetaBlob on the old
-  /// head after the master record pointing at the new chain is durable.
+  /// page (kInvalidPhysPage for an empty blob). Does NOT free any previous
+  /// chain — call FreeMetaBlob on the old head after the master record
+  /// pointing at the new chain is durable.
   StatusOr<PhysPageId> WriteMetaBlob(const std::string& blob);
 
   /// Frees a chain written by WriteMetaBlob. No-op for kInvalidPhysPage.
@@ -128,6 +131,10 @@ class FileManager {
 
   /// Reads back a blob chain written by WriteMetaBlob.
   StatusOr<std::string> ReadMetaBlob(PhysPageId head);
+
+  /// kCorruption if a free page is listed twice, is not in [2, page_count),
+  /// is in `in_use` or holds a chain of the master (quiescent files only).
+  Status CheckFreeList(const std::vector<PhysPageId>& in_use);
 
   /// Durably flushes the file (fsync through the Vfs).
   Status Sync();
@@ -142,9 +149,16 @@ class FileManager {
   Status PageIo(File* f, PhysPageId ppn, void* read_into,
                 const void* write_from);
   Status SyncLocked();
+  Status OpenFileLocked(const std::string& path, OpenMode mode);
+  Status LoadLocked();  // the newest valid master and its free list
   StatusOr<PhysPageId> AllocPageLocked();
   Status FreePageLocked(PhysPageId ppn);
   Status WriteMasterLocked();
+  StatusOr<PhysPageId> WriteChainLocked(const std::string& blob,
+                                        const std::vector<PhysPageId>& pages);
+  /// Reads the chain at `head` into `blob`, adding its pages to `pages`.
+  Status ReadChainLocked(PhysPageId head, std::string* blob,
+                         std::vector<PhysPageId>* pages = nullptr);
 
   /// Runs `op`, retrying kIOError failures with bounded backoff. After the
   /// first exhausted retry the manager fails fast (no more retries or
@@ -157,11 +171,8 @@ class FileManager {
   std::unique_ptr<File> file_;
   std::string path_;
   MasterRecord master_;
-  // Sequence of the master this incarnation opened from. A free stamp with
-  // this exact epoch was written by the dead incarnation after that master
-  // became durable — its links are not covered by the recovered state, so
-  // allocation rejects it. 0 (Create) never matches a real stamp.
-  uint64_t stale_free_epoch_ = 0;
+  std::vector<PhysPageId> free_;        // LIFO: AllocPage pops the back
+  std::vector<PhysPageId> free_chain_;  // pages of master_.free_list_blob
   // Atomic because RetryIo runs outside mu_ on the concurrent page-I/O path.
   std::atomic<bool> fail_fast_{false};
   IoFailureHandler io_failure_handler_;

@@ -177,24 +177,17 @@ Status StorageEngine::Checkpoint() {
   // reuse (and overwrite) pages the still-durable old master points at — a
   // crash between the overwrite and the master sync would then recover into
   // a master whose meta chains are garbage.
-  MasterRecord old_master = file_.master();
-  SEDNA_ASSIGN_OR_RETURN(PhysPageId dir_head,
+  MasterRecord master = file_.master();
+  const PhysPageId old_directory = master.directory_blob;
+  const PhysPageId old_catalog = master.catalog_blob;
+  SEDNA_ASSIGN_OR_RETURN(master.directory_blob,
                          file_.WriteMetaBlob(directory_->Serialize()));
-  SEDNA_ASSIGN_OR_RETURN(PhysPageId cat_head,
+  SEDNA_ASSIGN_OR_RETURN(master.catalog_blob,
                          file_.WriteMetaBlob(SerializeCatalog()));
-  // Sync the chain pages (and flushed data pages) before the master write:
-  // a disk may persist in-flight sectors in any order, so without this
-  // barrier a crash could keep the new master while dropping the chains it
-  // points at.
-  SEDNA_RETURN_IF_ERROR(file_.Sync());
-  MasterRecord master = file_.master();  // WriteMetaBlob grew the file
-  master.directory_blob = dir_head;
-  master.catalog_blob = cat_head;
   file_.set_master(master);
-  SEDNA_RETURN_IF_ERROR(file_.WriteMaster());  // durable (syncs internally)
-  SEDNA_RETURN_IF_ERROR(file_.FreeMetaBlob(old_master.directory_blob));
-  SEDNA_RETURN_IF_ERROR(file_.FreeMetaBlob(old_master.catalog_blob));
-  return file_.Sync();
+  SEDNA_RETURN_IF_ERROR(file_.WriteMaster());
+  SEDNA_RETURN_IF_ERROR(file_.FreeMetaBlob(old_directory));
+  return file_.FreeMetaBlob(old_catalog);
 }
 
 Status StorageEngine::CheckConsistency() {

@@ -20,6 +20,18 @@ struct OpCtx {
   static OpCtx System() { return OpCtx{}; }
 };
 
+/// Frees a logical page and the physical page backing it, dropping that
+/// page's frames first: the free list may hand it out again at once.
+inline Status FreeLogicalPage(SimplePageDirectory* directory,
+                              BufferManager* buffers, LogicalPageId lpid) {
+  if (buffers != nullptr) {
+    StatusOr<PhysPageId> ppn = directory->Resolve(lpid, ResolveContext{});
+    if (ppn.ok()) buffers->DiscardPhysical(*ppn);
+    buffers->InvalidateShared(lpid);
+  }
+  return directory->FreeLogicalPage(Xptr(lpid));
+}
+
 /// Allocation interface; implemented directly by SimplePageDirectory via the
 /// adapter below, and by the transaction layer with allocation tracking.
 class PageAllocator {
@@ -29,8 +41,7 @@ class PageAllocator {
   virtual Status FreePage(Xptr page_base, const OpCtx& ctx) = 0;
 
   /// Called once the buffer manager exists; implementations that free pages
-  /// must discard resident frames before releasing the physical page, or a
-  /// later flush would clobber the free-list link on disk.
+  /// must drop their frames first (FreeLogicalPage).
   virtual void BindBuffers(BufferManager* buffers) { buffers_ = buffers; }
 
  protected:
@@ -48,12 +59,7 @@ class DirectoryAllocator : public PageAllocator {
   }
 
   Status FreePage(Xptr page_base, const OpCtx&) override {
-    if (buffers_ != nullptr) {
-      StatusOr<PhysPageId> ppn =
-          directory_->Resolve(PageIdOf(page_base), ResolveContext{});
-      if (ppn.ok()) buffers_->DiscardPhysical(*ppn);
-    }
-    return directory_->FreeLogicalPage(page_base);
+    return FreeLogicalPage(directory_, buffers_, PageIdOf(page_base));
   }
 
  private:

@@ -98,7 +98,7 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
   uint64_t snapshot = last_commit_ts_.load();
   versions_->BeginTxn(id, read_only, snapshot);
   // The snapshot holds every commit published so far, durable or not.
-  const uint64_t read_lsn = read_only ? last_commit_lsn_ : 0;
+  const uint64_t read_lsn = read_only ? last_commit_lsn_.load() : 0;
   if (read_only) publish_lock.unlock();
   std::unique_ptr<Transaction> txn(
       new Transaction(this, id, read_only, snapshot));
@@ -154,16 +154,14 @@ Status TransactionManager::Publish(Transaction* txn, uint64_t* commit_lsn) {
   uint64_t commit_ts = clock_.fetch_add(1) + 1;
   SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, commit_ts));
   last_commit_ts_.store(commit_ts);
-  if (*commit_lsn != 0) last_commit_lsn_ = *commit_lsn;
+  if (*commit_lsn != 0) last_commit_lsn_.store(*commit_lsn);
   return Status::OK();
 }
 
-Status TransactionManager::WaitForReads(const Transaction* txn) {
-  if (wal_ == nullptr || txn->read_lsn_ <= wal_->durable_lsn()) {
-    return Status::OK();
-  }
+Status TransactionManager::WaitDurableFor(uint64_t lsn) {
+  if (wal_ == nullptr || lsn <= wal_->durable_lsn()) return Status::OK();
   m_reader_waits_->Add();
-  return wal_->WaitDurable(txn->read_lsn_);
+  return wal_->WaitDurable(lsn);
 }
 
 Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
@@ -172,7 +170,7 @@ Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
   live_transactions_.fetch_sub(1, std::memory_order_acq_rel);
   if (txn->read_only_) {
     SEDNA_RETURN_IF_ERROR(versions_->CommitTxn(txn->id_, 0));
-    return WaitForReads(txn);
+    return WaitDurableFor(txn->read_lsn_);
   }
   const bool logged = wal_ != nullptr && txn->logged_any_update_;
   // Governance: the last point at which the statement can still be
@@ -200,7 +198,7 @@ Status TransactionManager::Commit(Transaction* txn, QueryContext* query) {
   // have read this commit); the committer reports it and recovery decides.
   locks_.ReleaseAll(txn->id_, commit_lsn);
   Status durable = commit_lsn != 0 ? wal_->WaitDurable(commit_lsn)
-                                   : WaitForReads(txn);
+                                   : WaitDurableFor(txn->read_lsn_);
   // Stamps the log now covers make no reader wait; only those of syncs in
   // flight or failed stay.
   if (commit_lsn != 0 && durable.ok()) {

@@ -14,8 +14,8 @@
 //    before the log is durable up to every commit it may have read: a
 //    writer waits for its own commit record, a transaction that logged
 //    nothing for the newest commit stamp on the documents it locked, a
-//    snapshot reader for the newest commit published when it began. A
-//    failed autocommit statement waits the same way after its Abort.
+//    snapshot reader for the newest commit published when it began, a
+//    failed autocommit statement for the newest one when it failed.
 //  * Checkpoint creates the paper's "persistent snapshot": it drains
 //    active update transactions (new ones are gated at Begin, where they
 //    hold no locks), flushes all committed state, serializes catalog +
@@ -141,12 +141,13 @@ class TransactionManager {
   /// not wait for the log.
   Status Abort(Transaction* txn);
 
-  /// Waits, ungoverned, until the log is durable up to every commit `txn`
-  /// may have read, counting `wal.reader_waits` when it is not already;
-  /// returns the log's sticky failure if that sync failed. Commit calls it
-  /// for a transaction that logged nothing; a failed autocommit statement
-  /// calls it after its Abort, because its error is an answer too.
-  Status WaitForReads(const Transaction* txn);
+  /// Waits, ungoverned, until the log is durable up to the newest commit
+  /// published so far, or returns the log's sticky failure. A failed
+  /// autocommit statement calls it after its Abort: its error is an answer
+  /// too, and may rest on a commit it took no lock for (an index name).
+  Status WaitForPublished() {
+    return WaitDurableFor(last_commit_lsn_.load());
+  }
 
   /// Persistent snapshot (Section 6.4): drains active update transactions,
   /// flushes + serializes catalog/directory + checkpoint LSN, then unlinks
@@ -196,6 +197,10 @@ class TransactionManager {
   /// it is appended.
   Status Publish(Transaction* txn, uint64_t* commit_lsn);
 
+  /// Waits until the log is durable up to `lsn` (or fails with the log's
+  /// sticky error), counting `wal.reader_waits` when it is not already.
+  Status WaitDurableFor(uint64_t lsn);
+
   StorageEngine* storage_;
   VersionManager* versions_;
   WalWriter* wal_;
@@ -210,8 +215,8 @@ class TransactionManager {
   // and snapshot readers always see a prefix of the commit order. A
   // read-only Begin takes and registers its snapshot under it too.
   std::mutex publish_mu_;
-  uint64_t last_commit_lsn_ = 0;  // end of the newest published commit
-                                  // record; guarded by publish_mu_
+  // End of the newest published commit record; written under publish_mu_.
+  std::atomic<uint64_t> last_commit_lsn_{0};
   Counter* m_reader_waits_ = nullptr;  // wal.reader_waits
   // Checkpoint drain state: count of live update transactions and the
   // gate that holds new ones while a checkpoint runs.

@@ -117,11 +117,7 @@ Status VersionManager::RunDeferredFreesLocked() {
       multi_version_pages_.erase(df.lpid);
     }
     if (directory_->Contains(df.lpid)) {
-      StatusOr<PhysPageId> ppn =
-          directory_->Resolve(df.lpid, ResolveContext{});
-      if (ppn.ok() && buffers_ != nullptr) buffers_->DiscardPhysical(*ppn);
-      if (buffers_ != nullptr) buffers_->InvalidateShared(df.lpid);
-      SEDNA_RETURN_IF_ERROR(directory_->FreeLogicalPage(Xptr(df.lpid)));
+      SEDNA_RETURN_IF_ERROR(FreeLogicalPage(directory_, buffers_, df.lpid));
     }
   }
   deferred_frees_ = std::move(remaining);
@@ -196,10 +192,7 @@ Status VersionManager::AbortTxn(uint64_t txn_id) {
     versions_.erase(lpid);
     multi_version_pages_.erase(lpid);
     if (directory_->Contains(lpid)) {
-      StatusOr<PhysPageId> ppn = directory_->Resolve(lpid, ResolveContext{});
-      if (ppn.ok() && buffers_ != nullptr) buffers_->DiscardPhysical(*ppn);
-      if (buffers_ != nullptr) buffers_->InvalidateShared(lpid);
-      SEDNA_RETURN_IF_ERROR(directory_->FreeLogicalPage(Xptr(lpid)));
+      SEDNA_RETURN_IF_ERROR(FreeLogicalPage(directory_, buffers_, lpid));
     }
   }
   // The aborted transaction will never publish or flush its frames.
@@ -359,6 +352,18 @@ size_t VersionManager::live_version_count() const {
   return n;
 }
 
+std::vector<PhysPageId> VersionManager::LivePages() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<PhysPageId> pages;
+  for (const auto& [lpid, ppn] : directory_->Entries()) pages.push_back(ppn);
+  for (const auto& [lpid, pv] : versions_) {
+    for (const CommittedVersion& v : pv.committed) pages.push_back(v.ppn);
+    // A creator's marker is kInvalidPhysPage, which names no page.
+    for (const auto& [txn, ppn] : pv.working) pages.push_back(ppn);
+  }
+  return pages;
+}
+
 // ---------------------------------------------------------------------------
 // TrackingAllocator
 // ---------------------------------------------------------------------------
@@ -377,12 +382,7 @@ Status TrackingAllocator::FreePage(Xptr page_base, const OpCtx& ctx) {
     versions_->OnPageFreed(ctx.resolve.txn_id, page_base.raw);
     return Status::OK();
   }
-  if (buffers_ != nullptr) {
-    StatusOr<PhysPageId> ppn =
-        directory_->Resolve(PageIdOf(page_base), ResolveContext{});
-    if (ppn.ok()) buffers_->DiscardPhysical(*ppn);
-  }
-  return directory_->FreeLogicalPage(page_base);
+  return FreeLogicalPage(directory_, buffers_, PageIdOf(page_base));
 }
 
 }  // namespace sedna

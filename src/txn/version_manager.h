@@ -94,6 +94,9 @@ class VersionManager : public PageResolver {
 
   size_t live_version_count() const;
 
+  /// Every physical page the directory maps or a version holds.
+  std::vector<PhysPageId> LivePages() const;
+
  private:
   struct CommittedVersion {
     uint64_t commit_ts;

@@ -5,12 +5,13 @@
 #include <string>
 
 #include "common/fault_vfs.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "vfs_" + name + ".bin";
+  return TestTempPath("vfs_" + name) + ".bin";
 }
 
 // Reads the whole file through `vfs`.
@@ -146,7 +147,7 @@ TEST(StdioVfsTest, RenameReplacesTarget) {
 
 TEST(StdioVfsTest, ListFilesReturnsSortedPrefixMatches) {
   Vfs* vfs = Vfs::Default();
-  std::string prefix = ::testing::TempDir() + "vfs_list_";
+  std::string prefix = TestTempPath("vfs_list") + "_";
   for (const char* suffix : {"b", "a", "c"}) {
     auto f = vfs->Open(prefix + suffix, OpenMode::kCreate);
     ASSERT_TRUE(f.ok());

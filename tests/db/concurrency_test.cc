@@ -17,6 +17,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "db/database.h"
+#include "tests/common/test_paths.h"
 #include "tests/common/sync_gate_vfs.h"
 
 namespace sedna {
@@ -25,8 +26,10 @@ namespace {
 class ConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "cc_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    base_ = TestTempPath(std::string("cc_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name());
     options_.path = base_ + ".sedna";
     options_.wal_path = base_ + ".wal";
     options_.buffer_frames = 2048;
@@ -589,6 +592,78 @@ TEST_F(ConcurrencyTest, CommitPointFailedSyncReachesFailedStatements) {
   } else {
     EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
   }
+}
+
+// index-lookup() resolves the index name before it takes any lock, so
+// after a DROP INDEX whose fsync is in flight it fails at once, with no lock
+// stamp to wait for. A failed statement waits for every commit published
+// before it failed, so that NotFound, too, comes only once the drop is
+// durable — after a crash the index could be back.
+TEST_F(ConcurrencyTest, CommitPointFailedIndexLookupWaitsForTheDrop) {
+  CreateOverGate(Vfs::Default());
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  Counter* reader_waits = MetricsRegistry::Global().counter("wal.reader_waits");
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+  ASSERT_TRUE(writer->Execute("CREATE INDEX 'n' ON doc('d')//v").ok());
+
+  gate.BlockSyncs();
+  Status drop_st;
+  std::thread drop_thread(
+      [&] { drop_st = writer->Execute("DROP INDEX 'n'").status(); });
+  gate.WaitUntilSyncParked();
+  const uint64_t waits0 = reader_waits->value();
+  std::atomic<bool> lookup_returned{false};
+  Status lookup_st;
+  std::thread lookup_thread([&] {
+    lookup_st = reader->Execute("count(index-lookup('n', '0'))").status();
+    lookup_returned = true;
+  });
+  EXPECT_TRUE(Eventually([&] { return reader_waits->value() > waits0; }))
+      << "the lookup did not wait for the log";
+  EXPECT_FALSE(lookup_returned.load()) << "the lookup answered early";
+  gate.UnblockSyncs();
+  drop_thread.join();
+  lookup_thread.join();
+
+  EXPECT_TRUE(drop_st.ok()) << drop_st.ToString();
+  EXPECT_EQ(lookup_st.code(), StatusCode::kNotFound) << lookup_st.ToString();
+}
+
+// When the drop's sync fails, that lookup gets the sticky I/O error.
+TEST_F(ConcurrencyTest, CommitPointFailedSyncReachesAFailedIndexLookup) {
+  CreateOverGate(&fault_vfs_);
+  SyncGateVfs& gate = *gate_;
+  MakeDoc("d", "0");
+  Counter* reader_waits = MetricsRegistry::Global().counter("wal.reader_waits");
+  auto writer = db_->Connect();
+  auto reader = db_->Connect();
+  ASSERT_TRUE(writer->Execute("CREATE INDEX 'n' ON doc('d')//v").ok());
+
+  gate.BlockSyncs();
+  Status drop_st;
+  std::thread drop_thread(
+      [&] { drop_st = writer->Execute("DROP INDEX 'n'").status(); });
+  gate.WaitUntilSyncParked();
+  const uint64_t waits0 = reader_waits->value();
+  std::atomic<bool> lookup_returned{false};
+  Status lookup_st;
+  std::thread lookup_thread([&] {
+    lookup_st = reader->Execute("count(index-lookup('n', '0'))").status();
+    lookup_returned = true;
+  });
+  EXPECT_TRUE(Eventually([&] { return reader_waits->value() > waits0; }));
+  EXPECT_FALSE(lookup_returned.load());
+  // The parked sync is the next counted operation: fail it.
+  fault_vfs_.ScheduleTransientFailureAtOp(fault_vfs_.op_count());
+  gate.UnblockSyncs();
+  drop_thread.join();
+  lookup_thread.join();
+
+  EXPECT_EQ(drop_st.code(), StatusCode::kIOError) << drop_st.ToString();
+  EXPECT_EQ(lookup_st.code(), StatusCode::kIOError) << lookup_st.ToString();
+  EXPECT_TRUE(db_->degraded());
 }
 
 // Governance ends at the commit point: a statement cancelled before its

@@ -26,6 +26,7 @@
 #include "common/metrics.h"
 #include "common/query_context.h"
 #include "db/database.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
@@ -37,7 +38,7 @@ class ExchangeTortureTest : public ::testing::Test {
   void SetUp() override {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = ::testing::TempDir() + "exch_" + info->name();
+    base_ = TestTempPath(std::string("exch_") + info->name());
     options_.path = base_ + ".sedna";
     options_.wal_path = base_ + ".wal";
     std::remove(options_.path.c_str());

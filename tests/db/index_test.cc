@@ -11,6 +11,7 @@
 
 #include "common/metrics.h"
 #include "db/database.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
@@ -18,8 +19,10 @@ namespace {
 class IndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "ix_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    base_ = TestTempPath(std::string("ix_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name());
     options_.path = base_ + ".sedna";
     options_.wal_path = base_ + ".wal";
     std::remove(options_.path.c_str());

@@ -22,6 +22,7 @@
 #include "db/database.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna::net {
 
@@ -30,8 +31,8 @@ class ServerFixture : public ::testing::Test {
   void SetUp() override {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = ::testing::TempDir() + "net_" + info->test_suite_name() + "_" +
-            info->name();
+    base_ = TestTempPath(std::string("net_") + info->test_suite_name() +
+                         "_" + info->name());
     db_options_.path = base_ + ".sedna";
     db_options_.wal_path = base_ + ".wal";
     std::remove(db_options_.path.c_str());

@@ -21,6 +21,7 @@
 #include "sas/buffer_manager.h"
 #include "sas/file_manager.h"
 #include "sas/page_directory.h"
+#include "tests/common/test_paths.h"
 #include "tests/sas/buffer_events.h"
 
 namespace sedna {
@@ -34,7 +35,7 @@ constexpr int kWriters = 2;
 constexpr int kIters = 1200;
 
 TEST(BufferConcurrencyTest, ReadersWritersEvictionStress) {
-  std::string path = ::testing::TempDir() + "bm_stress.sedna";
+  std::string path = TestTempPath("bm_stress") + ".sedna";
   FileManager file;
   ASSERT_TRUE(file.Create(path).ok());
   SimplePageDirectory directory(&file);
@@ -158,7 +159,7 @@ TEST(BufferConcurrencyTest, ReadersWritersEvictionStress) {
 // Many threads faulting the SAME cold page must coalesce into one read and
 // all observe fully-filled contents.
 TEST(BufferConcurrencyTest, ConcurrentFaultsOfSamePageCoalesce) {
-  std::string path = ::testing::TempDir() + "bm_coalesce.sedna";
+  std::string path = TestTempPath("bm_coalesce") + ".sedna";
   FileManager file;
   ASSERT_TRUE(file.Create(path).ok());
   SimplePageDirectory directory(&file);

@@ -8,6 +8,7 @@
 
 #include "sas/file_manager.h"
 #include "sas/page_directory.h"
+#include "tests/common/test_paths.h"
 #include "tests/sas/buffer_events.h"
 
 namespace sedna {
@@ -16,8 +17,10 @@ namespace {
 class BufferManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "bm_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+    path_ = TestTempPath(std::string("bm_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
             ".sedna";
     ASSERT_TRUE(file_.Create(path_).ok());
     directory_ = std::make_unique<SimplePageDirectory>(&file_);

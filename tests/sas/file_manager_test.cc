@@ -4,8 +4,12 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
+#include <vector>
 
+#include "common/coding.h"
 #include "common/fault_vfs.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
@@ -13,8 +17,10 @@ namespace {
 class FileManagerTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) {
-    return ::testing::TempDir() + "fm_" + name + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+    return TestTempPath("fm_" + name + "_" +
+                        ::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
            ".sedna";
   }
 };
@@ -25,11 +31,11 @@ TEST_F(FileManagerTest, CreateThenOpen) {
     FileManager fm;
     ASSERT_TRUE(fm.Create(path).ok());
     EXPECT_TRUE(fm.is_open());
-    EXPECT_EQ(fm.page_count(), 2u);  // two master slots
+    EXPECT_EQ(fm.master().page_count, 2u);  // two master slots
   }
   FileManager fm;
   ASSERT_TRUE(fm.Open(path).ok());
-  EXPECT_EQ(fm.page_count(), 2u);
+  EXPECT_EQ(fm.master().page_count, 2u);
 }
 
 TEST_F(FileManagerTest, OpenMissingFileFails) {
@@ -149,7 +155,7 @@ TEST_F(FileManagerTest, MetaBlobRewriteReusesFreedChain) {
   ASSERT_TRUE(fm.Create(Path("blob2")).ok());
   auto head1 = fm.WriteMetaBlob(std::string(40000, 'a'));
   ASSERT_TRUE(head1.ok());
-  uint32_t pages_after_first = fm.page_count();
+  uint32_t pages_after_first = fm.master().page_count;
   // Checkpoint-style rewrite: the new chain goes into fresh pages first
   // (the old chain must stay intact until the new master is durable), then
   // the old chain is freed; the following rewrite reuses those pages.
@@ -160,7 +166,7 @@ TEST_F(FileManagerTest, MetaBlobRewriteReusesFreedChain) {
   ASSERT_TRUE(head3.ok());
   ASSERT_TRUE(fm.FreeMetaBlob(*head2).ok());
   // Steady state: each rewrite fits in the pages freed by the previous one.
-  EXPECT_EQ(fm.page_count(), 2 * (pages_after_first - 2) + 2);
+  EXPECT_EQ(fm.master().page_count, 2 * (pages_after_first - 2) + 2);
   auto back = fm.ReadMetaBlob(*head3);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, std::string(40000, 'c'));
@@ -282,78 +288,208 @@ TEST_F(FileManagerTest, BothSlotsCorruptFailsToOpen) {
   EXPECT_EQ(fm.Open(path).code(), StatusCode::kCorruption);
 }
 
-// --- free-list crash staleness ---------------------------------------------
+// --- the free list and the master record -----------------------------------
 
-TEST_F(FileManagerTest, StaleFreeListHeadIsAbandonedNotHandedOut) {
+TEST_F(FileManagerTest, AllocAndFreeFromTheListIssueNoIo) {
+  FaultInjectingVfs vfs;
   FileManager fm;
-  ASSERT_TRUE(fm.Create(Path("stale_free")).ok());
-  auto a = fm.AllocPage();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(fm.FreePage(*a).ok());
-  // Model a crash-reverted master whose free list points at a page that was
-  // since reallocated and overwritten with live data: clobber the stamp.
-  char live[kPageSize];
-  std::memset(live, 0x5a, sizeof(live));
-  ASSERT_TRUE(fm.WritePage(*a, live).ok());
-  // Allocation must detect the missing free stamp and grow the file
-  // instead of handing the live page out for a second use.
-  auto b = fm.AllocPage();
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(*b, *a);
-  // The live page is untouched.
-  char check[kPageSize];
-  ASSERT_TRUE(fm.ReadPage(*a, check).ok());
-  EXPECT_EQ(std::memcmp(check, live, kPageSize), 0);
+  fm.set_vfs(&vfs);
+  ASSERT_TRUE(fm.Create("/mem/db").ok());
+  auto first = fm.AllocPage();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(fm.FreePage(*first).ok());
+  const uint64_t ops = vfs.op_count();
+  for (int i = 0; i < 1000; ++i) {
+    auto ppn = fm.AllocPage();
+    ASSERT_TRUE(ppn.ok());
+    EXPECT_EQ(*ppn, *first);
+    ASSERT_TRUE(fm.FreePage(*ppn).ok());
+  }
+  EXPECT_EQ(vfs.op_count(), ops);
 }
 
-// The subtler staleness: a page re-freed AFTER the recovered master became
-// durable carries a stamp that is internally valid (magic, self, CRC all
-// check out) but whose next link points into a newer free list — here, at a
-// page that is live in the recovered image. Only the epoch tag can tell
-// this stamp from a legitimate one. Found by the concurrent-commit torture
-// test: following the stale link double-allocated live pages after crash
-// recovery.
-TEST_F(FileManagerTest, ReFreedStampFromDeadIncarnationIsRejected) {
+TEST_F(FileManagerTest, FreeListSurvivesReopenInLifoOrder) {
+  std::string path = Path("lifo");
+  std::vector<PhysPageId> pages;
+  {
+    FileManager fm;
+    ASSERT_TRUE(fm.Create(path).ok());
+    for (int i = 0; i < 6; ++i) pages.push_back(*fm.AllocPage());
+    for (PhysPageId ppn : {pages[4], pages[1], pages[3]}) {
+      ASSERT_TRUE(fm.FreePage(ppn).ok());
+    }
+    ASSERT_TRUE(fm.Close().ok());
+  }
+  FileManager fm;
+  ASSERT_TRUE(fm.Open(path).ok());
+  // Close took the newest free page to hold the list; the rest come back
+  // newest first.
+  EXPECT_EQ(fm.FreePages(), (std::vector<PhysPageId>{pages[4], pages[1]}));
+  EXPECT_EQ(*fm.AllocPage(), pages[1]);
+  EXPECT_EQ(*fm.AllocPage(), pages[4]);
+  EXPECT_TRUE(fm.FreePages().empty());
+}
+
+// A crash after a master write recovers exactly the list saved with that
+// master, whatever the dead incarnation allocated, freed or wrote since, and
+// hands out no page twice: neither a page live at that master nor the chain
+// holding its list. Replaces the stamped free pages, whose stale links a
+// crash could leave behind (the torture suite once double-allocated live
+// pages that way).
+TEST_F(FileManagerTest, CrashAfterMasterWriteRecoversTheSavedList) {
   FaultInjectingVfs vfs;
-  PhysPageId a = 0, b = 0;
+  std::vector<PhysPageId> saved;
+  std::set<PhysPageId> live;
   {
     FileManager fm;
     fm.set_vfs(&vfs);
     ASSERT_TRUE(fm.Create("/mem/db").ok());
-    auto pa = fm.AllocPage();
-    auto pb = fm.AllocPage();
-    ASSERT_TRUE(pa.ok() && pb.ok());
-    a = *pa;
-    b = *pb;
-    ASSERT_TRUE(fm.FreePage(a).ok());
-    // Durable master: free list = {a}, b live.
+    std::vector<PhysPageId> pages;
+    for (int i = 0; i < 12; ++i) pages.push_back(*fm.AllocPage());
+    for (size_t i = 0; i < pages.size(); ++i) {
+      if (i % 3 == 0) {
+        ASSERT_TRUE(fm.FreePage(pages[i]).ok());
+      } else {
+        live.insert(pages[i]);
+      }
+    }
     ASSERT_TRUE(fm.WriteMaster().ok());
-    // The doomed incarnation continues: reuses a, then frees b and re-frees
-    // a, so a's fresh stamp links to b. A checkpoint-style sync makes the
-    // stamps durable — but the next master write never happens.
-    auto re = fm.AllocPage();
-    ASSERT_TRUE(re.ok());
-    ASSERT_EQ(*re, a);
-    ASSERT_TRUE(fm.FreePage(b).ok());
-    ASSERT_TRUE(fm.FreePage(a).ok());
-    ASSERT_TRUE(fm.Sync().ok());
+    saved = fm.FreePages();
+    ASSERT_FALSE(saved.empty());
+    // The doomed incarnation reuses a listed page, frees live ones, grows
+    // the file and writes, but never writes another master.
+    auto reused = fm.AllocPage();
+    ASSERT_TRUE(reused.ok());
+    ASSERT_TRUE(fm.FreePage(pages[1]).ok());
+    ASSERT_TRUE(fm.FreePage(*reused).ok());
+    ASSERT_TRUE(fm.FreePage(pages[2]).ok());
+    char junk[kPageSize];
+    std::memset(junk, 0x5a, sizeof(junk));
+    for (int i = 0; i < 8; ++i) {
+      auto p = fm.AllocPage();
+      ASSERT_TRUE(p.ok());
+      ASSERT_TRUE(fm.WritePage(*p, junk).ok());
+    }
     vfs.ScheduleCrashAtOp(vfs.op_count(), CrashStyle::kLoseUnsynced);
     EXPECT_FALSE(fm.Sync().ok());  // trips the crash; teardown writes fail
   }
   vfs.Recover();
   vfs.ClearFaults();
-  // Recovery: the master says free list = {a} and b is live, but a's
-  // on-disk stamp says "next: b". The stamp's epoch equals the recovered
-  // master's sequence, so allocation must abandon the list and grow the
-  // file instead of handing out b for a second use.
   FileManager fm;
   fm.set_vfs(&vfs);
   ASSERT_TRUE(fm.Open("/mem/db").ok());
-  auto c = fm.AllocPage();
-  auto d = fm.AllocPage();
-  ASSERT_TRUE(c.ok() && d.ok());
-  EXPECT_NE(*c, b);
-  EXPECT_NE(*d, b);
+  EXPECT_EQ(fm.FreePages(), saved);
+  const PhysPageId chain = fm.master().free_list_blob;
+  ASSERT_NE(chain, kInvalidPhysPage);
+  std::set<PhysPageId> handed;
+  for (size_t i = 0; i < saved.size() + 4; ++i) {
+    auto p = fm.AllocPage();
+    ASSERT_TRUE(p.ok());
+    EXPECT_TRUE(handed.insert(*p).second) << "page " << *p << " twice";
+    EXPECT_EQ(live.count(*p), 0u) << "live page " << *p << " handed out";
+    EXPECT_NE(*p, chain);
+  }
+}
+
+// A crash anywhere inside a master write recovers one of the two lists,
+// each with its chain intact.
+TEST_F(FileManagerTest, CrashInsideMasterWriteRecoversOneOfTheTwoLists) {
+  // Writes a master saving `before`, then frees more pages.
+  auto prepare = [](FileManager* fm, std::vector<PhysPageId>* before) {
+    ASSERT_TRUE(fm->Create("/mem/db").ok());
+    std::vector<PhysPageId> pages;
+    for (int i = 0; i < 8; ++i) pages.push_back(*fm->AllocPage());
+    for (int i = 0; i < 8; i += 2) ASSERT_TRUE(fm->FreePage(pages[i]).ok());
+    ASSERT_TRUE(fm->WriteMaster().ok());
+    *before = fm->FreePages();
+    for (int i = 1; i < 8; i += 2) ASSERT_TRUE(fm->FreePage(pages[i]).ok());
+  };
+  std::vector<PhysPageId> before, after;
+  {
+    FaultInjectingVfs vfs;
+    FileManager fm;
+    fm.set_vfs(&vfs);
+    prepare(&fm, &before);
+    ASSERT_TRUE(fm.WriteMaster().ok());
+    after = fm.FreePages();
+  }
+  ASSERT_NE(before, after);
+  for (CrashStyle style : {CrashStyle::kLoseUnsynced, CrashStyle::kTornWrites}) {
+    for (uint64_t k = 0;; ++k) {
+      FaultInjectingVfs vfs(k);
+      bool crashed = false;
+      {
+        FileManager fm;
+        fm.set_vfs(&vfs);
+        std::vector<PhysPageId> unused;
+        prepare(&fm, &unused);
+        vfs.ScheduleCrashAtOp(vfs.op_count() + k, style);
+        crashed = !fm.WriteMaster().ok();
+      }
+      if (!crashed) break;  // k is past the write's last op
+      vfs.Recover();
+      vfs.ClearFaults();
+      FileManager fm;
+      fm.set_vfs(&vfs);
+      ASSERT_TRUE(fm.Open("/mem/db").ok()) << "crash at op +" << k;
+      std::vector<PhysPageId> recovered = fm.FreePages();
+      EXPECT_TRUE(recovered == before || recovered == after)
+          << "crash at op +" << k;
+      EXPECT_TRUE(fm.CheckFreeList({}).ok()) << "crash at op +" << k;
+    }
+  }
+}
+
+TEST_F(FileManagerTest, CheckFreeListReportsBadEntries) {
+  FileManager fm;
+  ASSERT_TRUE(fm.Create(Path("check")).ok());
+  std::vector<PhysPageId> pages;
+  for (int i = 0; i < 4; ++i) pages.push_back(*fm.AllocPage());
+  ASSERT_TRUE(fm.FreePage(pages[0]).ok());
+  ASSERT_TRUE(fm.FreePage(pages[1]).ok());
+  ASSERT_TRUE(fm.WriteMaster().ok());  // one of them now holds the list
+  EXPECT_TRUE(fm.CheckFreeList({pages[2], pages[3]}).ok());
+  EXPECT_EQ(fm.CheckFreeList({fm.FreePages().front()}).code(),
+            StatusCode::kCorruption);
+  // A chain the master points at.
+  const PhysPageId chain = fm.master().free_list_blob;
+  ASSERT_TRUE(fm.FreePage(chain).ok());
+  EXPECT_EQ(fm.CheckFreeList({}).code(), StatusCode::kCorruption);
+  ASSERT_EQ(*fm.AllocPage(), chain);
+  // A page listed twice.
+  ASSERT_TRUE(fm.FreePage(pages[2]).ok());
+  ASSERT_TRUE(fm.FreePage(pages[2]).ok());
+  EXPECT_EQ(fm.CheckFreeList({}).code(), StatusCode::kCorruption);
+}
+
+// Format 1 kept the free list in stamped free pages; its master's
+// free-list field was a page, not a saved list. Such a file is refused.
+TEST_F(FileManagerTest, OldFormatFileIsRefusedNamingTheFormat) {
+  std::string payload;
+  PutFixed64(&payload, 7);                 // sequence
+  PutFixed32(&payload, 3);                 // page_count
+  PutFixed32(&payload, 2);                 // free-list head page
+  PutFixed32(&payload, kInvalidPhysPage);  // directory
+  PutFixed32(&payload, kInvalidPhysPage);  // catalog
+  PutFixed64(&payload, 0);                 // checkpoint lsn
+  PutFixed64(&payload, 1);                 // next timestamp
+  std::string page;
+  page.append(kMasterMagicBytes, 4);
+  PutFixed32(&page, Crc32(payload.data(), payload.size()));
+  PutFixed32(&page, static_cast<uint32_t>(payload.size()));
+  page += payload;
+  page.resize(kPageSize, '\0');
+  std::string path = Path("format1");
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << page << page << std::string(kPageSize, '\0');
+  }
+  FileManager fm;
+  Status st = fm.Open(path);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("format 1"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(fm.is_open());
 }
 
 }  // namespace

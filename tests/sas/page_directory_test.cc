@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "sas/file_manager.h"
 #include "sas/page_table.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
@@ -17,8 +18,10 @@ namespace {
 class PageDirectoryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "pd_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+    path_ = TestTempPath(std::string("pd_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
             ".sedna";
     std::remove(path_.c_str());
     ASSERT_TRUE(file_.Create(path_).ok());

@@ -10,25 +10,22 @@
 #include <string>
 
 #include "storage/storage_engine.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 
 class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "st_" +
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->test_suite_name() +
-            "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".sedna";
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name =
+        std::string("st_") + info->test_suite_name() + "_" + info->name();
     // Parameterized test names contain '/', which breaks file paths.
-    for (char& c : path_) {
-      if (c == '/' && &c > path_.data() + ::testing::TempDir().size()) {
-        c = '_';
-      }
+    for (char& c : name) {
+      if (c == '/') c = '_';
     }
+    path_ = TestTempPath(name) + ".sedna";
     auto engine = StorageEngine::Create(StorageOptions{path_, 256});
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(engine).value();

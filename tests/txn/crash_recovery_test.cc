@@ -236,6 +236,9 @@ void RunCrashTrial(uint64_t rel_crash, CrashStyle style, uint64_t seed,
   auto reopened = Database::Open(options);
   ASSERT_TRUE(reopened.ok())
       << "recovery failed: " << reopened.status().ToString();
+  // Pages and the recovered free list, checked before anything allocates.
+  Status deep = (*reopened)->CheckConsistency();
+  EXPECT_TRUE(deep.ok()) << deep.ToString();
   auto session = (*reopened)->Connect();
   Model actual = ReadActual(session.get(), docs);
   EXPECT_TRUE(actual == end.acked ||

@@ -11,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "sas/buffer_manager.h"
+#include "tests/common/test_paths.h"
 
 namespace sedna {
 namespace {
@@ -18,8 +19,10 @@ namespace {
 class VersionManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "vm_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+    path_ = TestTempPath(std::string("vm_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
             ".sedna";
     std::remove(path_.c_str());
     ASSERT_TRUE(file_.Create(path_).ok());

@@ -10,6 +10,7 @@
 #include "common/fault_vfs.h"
 #include "common/metrics.h"
 #include "tests/common/sync_gate_vfs.h"
+#include "tests/common/test_paths.h"
 #include "txn/transaction.h"
 
 namespace sedna {
@@ -20,8 +21,10 @@ constexpr uint64_t kHdr = kWalSegmentHeaderSize;
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "wal_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+    path_ = TestTempPath(std::string("wal_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
             ".log";
     ASSERT_TRUE(RemoveWalLog(path_).ok());
   }

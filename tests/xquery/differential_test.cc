@@ -23,6 +23,7 @@
 #include "db/database.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "tests/common/test_paths.h"
 #include "tests/storage/storage_test_util.h"
 #include "xml/xml_parser.h"
 #include "xmlgen/generators.h"
@@ -253,8 +254,10 @@ TEST_F(DifferentialTest, StreamingMatchesEagerOnFullCorpus) {
 class WireDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "wirediff_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    base_ = TestTempPath(std::string("wirediff_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name());
     DatabaseOptions options;
     options.path = base_ + ".sedna";
     options.wal_path = base_ + ".wal";
